@@ -29,7 +29,6 @@ from .linalg import (
     hellinger_distance,
     mahalanobis_avg,
     principal_angles,
-    projection_onto_top_d,
     spectral_norm,
 )
 from .local_pca import (
@@ -46,7 +45,6 @@ from .neighborhoods import (
     assign_to_closest_survivor,
     build_index,
     connected_components,
-    radius_query,
     subsample_centers,
 )
 from .seeding import derive_seed
@@ -95,8 +93,6 @@ __all__ = [
     "njw_partition",
     "principal_angles",
     "proj_indicator_affinity",
-    "projection_onto_top_d",
-    "radius_query",
     "run_trials",
     "spectral_norm",
     "subsample_centers",

@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModel
-from .neighborhoods import Graph, NeighborhoodIndex, PointCloud
+from .neighborhoods import NeighborhoodIndex, PointCloud
 
 Array = np.ndarray
 
@@ -271,10 +271,3 @@ def auto_eta(models: list[LocalModel], eps: float) -> float:
         raise NoPairsInRange("no center pair strictly within eps")
     vals = pairwise_diff_norms(q, np.column_stack([i[close], j[close]]), "spectral")
     return lower_median(vals)
-
-
-def to_graph(w: Array) -> Graph:
-    """Binary-graph view of an affinity matrix (edges where w > 0, no loops)."""
-    w = np.asarray(w)
-    i, j = np.nonzero(np.triu(w, k=1))
-    return Graph(n_nodes=w.shape[0], edges=np.column_stack([i, j]))

@@ -72,12 +72,13 @@ def write_cloud_csv(cloud: PointCloud, path: str, spec: DatasetSpec | None = Non
 
 
 def read_cloud_csv(path: str) -> PointCloud:
+    """Parse a point-cloud CSV; a malformed row raises InvalidInput naming path:line."""
     meta: dict[str, str] = {}
     header: list[str] | None = None
     coords: list[list[float]] = []
     labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -91,16 +92,25 @@ def read_cloud_csv(path: str) -> PointCloud:
             if header is None:
                 header = cells
                 continue
-            if header[-1] == "label":
-                coords.append([float(c) for c in cells[:-1]])
-                labels.append(int(cells[-1]))
-            else:
-                coords.append([float(c) for c in cells])
+            if len(cells) != len(header):
+                raise InvalidInput(f"{path}:{lineno}: expected {len(header)} cells, "
+                                   f"got {len(cells)}")
+            try:
+                if header[-1] == "label":
+                    coords.append([float(c) for c in cells[:-1]])
+                    labels.append(int(cells[-1]))
+                else:
+                    coords.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
     if header is None or not coords:
         raise InvalidInput(f"no data rows in {path}")
 
     def _int_meta(key):
-        return int(meta[key]) if key in meta else None
+        try:
+            return int(meta[key]) if key in meta else None
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: metadata {key}: {exc}") from exc
 
     return PointCloud(
         coords=np.asarray(coords, dtype=float),
@@ -180,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: MMCLUSTER_THREADS or 1)")
         p.add_argument("--out", required=True, help="output path")
 
     g = sub.add_parser("generate", help="write a synthetic point cloud as CSV")
@@ -197,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_flags(e)
     add_method_flags(e)
     e.add_argument("--trials", type=int, default=100)
+    e.add_argument("--threads", type=int, default=None,
+                   help="trials run in parallel (default: MMCLUSTER_THREADS or 1)")
     add_common(e)
 
     return parser
@@ -250,7 +260,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    threads = _resolve_threads(args.threads)
     cfg = _method_config(args)
     cloud = read_cloud_csv(args.input)
 
@@ -262,13 +271,13 @@ def cmd_cluster(args) -> int:
     if cfg.method == "alg4":
         labeling, info = clu.algorithm4_local_pca_spectral(
             cloud, cfg.r, cfg.k, cfg.d, rng, eps=cfg.eps, eta=cfg.eta,
-            threads=threads, affinity_kind=cfg.affinity, ell=cfg.ell,
-            alpha=cfg.alpha, return_info=True)
+            affinity_kind=cfg.affinity, ell=cfg.ell, alpha=cfg.alpha,
+            return_info=True)
     elif cfg.method == "njw_baseline":
         labeling, info = clu.njw_baseline(cloud, cfg.r, cfg.k, rng,
                                           eps=cfg.eps, return_info=True)
     else:
-        labeling = run_method(cloud, cfg, args.seed, threads=threads)
+        labeling = run_method(cloud, cfg, args.seed)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
 
     write_labels_csv(labeling.assignments, args.out)

@@ -36,6 +36,7 @@ from .neighborhoods import (
     assign_to_closest_survivor,
     build_index,
     connected_components,
+    renumber_first_occurrence,
     subsample_centers,
 )
 
@@ -68,18 +69,6 @@ class KMeansResult:
     centroids: Array
     assignments: Array  # 0-based cluster index per row
     inertia: float
-
-
-def _renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
-    """Map raw ids to 1-based ids in order of first appearance."""
-    out = np.empty(len(raw), dtype=int)
-    seen: dict[int, int] = {}
-    for k, v in enumerate(raw):
-        key = int(v)
-        if key not in seen:
-            seen[key] = len(seen) + 1
-        out[k] = seen[key]
-    return out, len(seen)
 
 
 def _kmeans_once(rows: Array, k: int, rng: np.random.Generator,
@@ -169,12 +158,12 @@ def njw_partition(w: Array, k: int, rng: np.random.Generator) -> Labeling:
     ok = norms > 0
     rows[ok] /= norms[ok, None]
     res = kmeans_pp(rows, k, rng)
-    labels, k_found = _renumber_first_occurrence(res.assignments)
+    labels, k_found = renumber_first_occurrence(res.assignments)
     return Labeling(assignments=labels, K_found=k_found)
 
 
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
-                              norm: str = "spectral", threads: int = 1) -> Labeling:
+                              norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local covariances.
 
     Steps: local covariances over r-balls; binary affinity (distance
@@ -185,7 +174,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     """
     index = build_index(cloud)
     n = cloud.n
-    models = batch_local_models(cloud, index, np.arange(n), params.r, d=1, threads=threads)
+    models = batch_local_models(cloud, index, np.arange(n), params.r, d=1)
     pairs, keep = aff.indicator_pairs(models, index, params.eps,
                                       params.eta * params.r**2, "covariance", norm)
     edges = pairs[keep]
@@ -221,14 +210,13 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
 
 
 def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
-                               norm: str = "spectral", threads: int = 1) -> Labeling:
+                               norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local projections with
     thresholded dimension estimation.  May return more than two groups."""
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
     index = build_index(cloud)
-    models = batch_local_models(cloud, index, np.arange(cloud.n), params.r,
-                                eta=params.eta, threads=threads)
+    models = batch_local_models(cloud, index, np.arange(cloud.n), params.r, eta=params.eta)
     pairs, keep = aff.indicator_pairs(models, index, params.eps, params.eta,
                                       "projection", norm)
     ids = connected_components(Graph(cloud.n, pairs[keep]))
@@ -251,7 +239,6 @@ def algorithm4_local_pca_spectral(
     rng: np.random.Generator,
     eps: float | None = None,
     eta: float | None = None,
-    threads: int = 1,
     affinity_kind: str = "gauss",
     ell: int = 10,
     alpha: float = 2.0,
@@ -271,7 +258,7 @@ def algorithm4_local_pca_spectral(
     n0 = center_idx.size
     if n0 < k:
         raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
-    models = batch_local_models(cloud, index, center_idx, r, d=d, threads=threads)
+    models = batch_local_models(cloud, index, center_idx, r, d=d)
     y = cloud.coords[center_idx]
 
     if n0 == 1:
@@ -305,7 +292,7 @@ def algorithm4_local_pca_spectral(
 
     center_labeling = njw_partition(w, k, rng)
     assignments = _nearest_center_labels(cloud, y, center_labeling.assignments)
-    labels, k_found = _renumber_first_occurrence(assignments)
+    labels, k_found = renumber_first_occurrence(assignments)
     labeling = Labeling(assignments=labels, K_found=k_found)
     if not return_info:
         return labeling
@@ -347,7 +334,7 @@ def njw_baseline(
     w = aff.distance_gaussian_affinity(y, eps_used)
     center_labeling = njw_partition(w, k, rng)
     assignments = _nearest_center_labels(cloud, y, center_labeling.assignments)
-    labels, k_found = _renumber_first_occurrence(assignments)
+    labels, k_found = renumber_first_occurrence(assignments)
     labeling = Labeling(assignments=labels, K_found=k_found)
     if not return_info:
         return labeling

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import cluster as clu
-from .affinity import ScaleParams
+from .affinity import ScaleParams, lower_median
 from .cluster import Labeling
 from .datasets import DatasetSpec, generate, global_radius
 from .errors import InvalidInput, MMClusterError
@@ -72,19 +72,19 @@ class MethodConfig:
             raise InvalidInput("njw_baseline requires K")
 
 
-def run_method(cloud: PointCloud, cfg: MethodConfig, seed: int, threads: int = 1) -> Labeling:
+def run_method(cloud: PointCloud, cfg: MethodConfig, seed: int) -> Labeling:
     """Run the configured pipeline on a point cloud with a fresh generator."""
     rng = np.random.default_rng(seed)
     if cfg.method == "alg2":
         params = ScaleParams(r=cfg.r, eps=cfg.eps, eta=cfg.eta)
-        return clu.algorithm2_cov_components(cloud, params, norm=cfg.norm, threads=threads)
+        return clu.algorithm2_cov_components(cloud, params, norm=cfg.norm)
     if cfg.method == "alg3":
         params = ScaleParams(r=cfg.r, eps=cfg.eps, eta=cfg.eta)
-        return clu.algorithm3_proj_components(cloud, params, norm=cfg.norm, threads=threads)
+        return clu.algorithm3_proj_components(cloud, params, norm=cfg.norm)
     if cfg.method == "alg4":
         return clu.algorithm4_local_pca_spectral(
             cloud, cfg.r, cfg.k, cfg.d, rng, eps=cfg.eps, eta=cfg.eta,
-            threads=threads, affinity_kind=cfg.affinity, ell=cfg.ell, alpha=cfg.alpha)
+            affinity_kind=cfg.affinity, ell=cfg.ell, alpha=cfg.alpha)
     return clu.njw_baseline(cloud, cfg.r, cfg.k, rng, eps=cfg.eps)
 
 
@@ -99,13 +99,6 @@ class TrialStats:
     r_over_R: float
     k_found: list[int] = field(default_factory=list)
     errors: list[str | None] = field(default_factory=list)
-
-
-def lower_median(values) -> float:
-    values = sorted(float(v) for v in values)
-    if not values:
-        raise InvalidInput("median of empty sequence")
-    return values[(len(values) - 1) // 2]
 
 
 def _single_trial(spec: DatasetSpec, cfg: MethodConfig, base_seed: int, t: int):

@@ -25,10 +25,6 @@ class EigenDecomposition:
     eigenvalues: Array   # (D,), nonincreasing
     eigenvectors: Array  # (D, D), columns aligned with eigenvalues
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def symmetrize(m: Array) -> Array:
     """Return the symmetric part (m + m.T)/2 as float64."""
@@ -97,22 +93,6 @@ def matrix_diff_norm(a: Array, b: Array, norm: str = "spectral") -> float:
     if norm == "frobenius":
         return frobenius_norm(np.asarray(a, float) - np.asarray(b, float))
     raise InvalidInput(f"unknown norm mode {norm!r}")
-
-
-def projection_onto_top_d(e: EigenDecomposition, d: int) -> Array:
-    """Orthogonal projection onto the span of the top ``d`` eigenvectors."""
-    dim = e.dim
-    if not 1 <= d <= dim:
-        raise InvalidInput(f"d={d} out of range for dimension {dim}")
-    v = e.eigenvectors[:, :d]
-    return symmetrize(v @ v.T)
-
-
-def degenerate_gap(e: EigenDecomposition, d: int, tol: float = 1e-12) -> bool:
-    """True when the eigen-gap below position ``d`` vanishes (diagnostic)."""
-    if d >= e.dim:
-        return False
-    return bool(e.eigenvalues[d - 1] - e.eigenvalues[d] <= tol)
 
 
 def is_projection(m: Array, tol: float = 1e-8) -> bool:

@@ -3,12 +3,17 @@
 Covariances are normalized by the neighborhood size m (empirical-measure
 convention), not m - 1; the closed-form oracles for uniform samples on
 balls and segments rely on this.
+
+One batched kernel serves every caller: ``_covariances`` reduces all
+neighborhoods at once and ``_tangents`` runs one eigendecomposition over
+the stack.  The single-matrix functions are views on it over a stack of
+one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +40,6 @@ class LocalModel:
     projection: Array
     est_dim: int
     degenerate: bool = False
-    degenerate_gap: bool = False
 
 
 def empirical_covariance(points: Array) -> Array:
@@ -46,17 +50,74 @@ def empirical_covariance(points: Array) -> Array:
     return linalg.symmetrize(dev.T @ dev / points.shape[0])
 
 
+def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
+    """Neighbor counts (n,) and 1/m covariances (n, D, D) of index lists.
+
+    Every list must be nonempty: ``reduceat`` has no empty segment.
+    Two passes: the mean of each neighborhood, then the deviations from
+    it, so precision does not depend on the distance from the origin.
+    Entries are reduced one (a, b) pair at a time, keeping temporaries
+    at O(nnz * D).  Neighborhoods of fewer than 2 points get the zero
+    matrix.
+    """
+    counts = np.fromiter(map(len, neighbor_lists), dtype=np.intp,
+                         count=len(neighbor_lists))
+    dev = coords[np.fromiter(chain.from_iterable(neighbor_lists), dtype=np.intp,
+                             count=int(counts.sum()))]
+    starts = np.cumsum(counts) - counts
+    mean = np.add.reduceat(dev, starts, axis=0) / counts[:, None]
+    dim = coords.shape[1]
+    for a in range(dim):
+        dev[:, a] -= np.repeat(mean[:, a], counts)
+    covs = np.empty((counts.size, dim, dim))
+    for a in range(dim):
+        for b in range(a, dim):
+            covs[:, a, b] = covs[:, b, a] = (
+                np.add.reduceat(dev[:, a] * dev[:, b], starts) / counts)
+    covs[counts < 2] = 0.0
+    return counts, covs
+
+
+def _tangents(covs: Array, d: int | None = None,
+              eta: float | None = None) -> tuple[Array, Array, Array]:
+    """Top eigenvalue, est_dim and projection for each matrix of a stack.
+
+    With ``d`` the projection is onto the top-d eigenvectors; with
+    ``eta`` onto those whose eigenvalue strictly exceeds sqrt(eta) times
+    the top one.  A projection V diag(keep) V^T does not depend on the
+    sign of the eigenvectors.
+    """
+    vals, vecs = np.linalg.eigh(covs)  # ascending
+    if d is not None:
+        keep = np.broadcast_to(np.arange(vals.shape[1]) >= vals.shape[1] - d, vals.shape)
+    else:
+        keep = vals > np.sqrt(eta) * vals[:, -1:]
+    proj = np.einsum("nij,nj,nkj->nik", vecs, keep.astype(float), vecs)
+    return vals[:, -1], keep.sum(axis=1), proj
+
+
+def _stack_of_one(c: Array) -> Array:
+    """The symmetric part of one finite matrix, as a (1, D, D) stack."""
+    c = linalg.symmetrize(c)
+    if not np.all(np.isfinite(c)):
+        raise InvalidInput("matrix has non-finite entries")
+    return c[None]
+
+
 def local_covariance(cloud: PointCloud, index: NeighborhoodIndex, x: Array, r: float) -> Array:
     """Sample covariance of the closed r-ball neighborhood of ``x``."""
     idx = index.query(np.asarray(x, float), r)
     if idx.size == 0:
         raise EmptyNeighborhood(f"no points within r={r} of {x}")
-    return empirical_covariance(cloud.coords[idx])
+    return _covariances(cloud.coords, [idx])[1][0]
 
 
 def estimate_projection(c: Array, d: int) -> Array:
     """Rank-d orthogonal projection onto the top-d eigenvectors of ``c``."""
-    return linalg.projection_onto_top_d(linalg.eigh(c), d)
+    c = _stack_of_one(c)
+    if not 1 <= d <= c.shape[-1]:
+        raise InvalidInput(f"d={d} out of range for dimension {c.shape[-1]}")
+    return _tangents(c, d=d)[2][0]
 
 
 def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
@@ -67,51 +128,10 @@ def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
     """
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie in (0, 1)")
-    e = linalg.eigh(c)
-    top = e.eigenvalues[0]
-    if top <= 0.0:
+    top, est_dim, proj = _tangents(_stack_of_one(c), eta=eta)
+    if top[0] <= 0.0:
         raise ZeroCovariance("cannot threshold the zero covariance matrix")
-    threshold = np.sqrt(eta) * top
-    est_dim = int((e.eigenvalues > threshold).sum())
-    return est_dim, linalg.projection_onto_top_d(e, est_dim)
-
-
-def _model_for_center(
-    cloud: PointCloud,
-    neighbors: Array,
-    center: Array,
-    d: int | None,
-    eta: float | None,
-) -> LocalModel:
-    dim = cloud.dim
-    m = len(neighbors)
-    if m < 2:
-        zero = np.zeros((dim, dim))
-        return LocalModel(
-            center=center, neighbor_count=m, covariance=zero,
-            projection=zero, est_dim=0, degenerate=True,
-        )
-    cov = empirical_covariance(cloud.coords[neighbors])
-    e = linalg.eigh(cov)
-    if d is not None:
-        est_dim = d
-        proj = linalg.projection_onto_top_d(e, d)
-        gap = linalg.degenerate_gap(e, d)
-    else:
-        top = e.eigenvalues[0]
-        if top <= 0.0:
-            zero = np.zeros((dim, dim))
-            return LocalModel(
-                center=center, neighbor_count=m, covariance=cov,
-                projection=zero, est_dim=0, degenerate=True,
-            )
-        est_dim = int((e.eigenvalues > np.sqrt(eta) * top).sum())
-        proj = linalg.projection_onto_top_d(e, est_dim)
-        gap = linalg.degenerate_gap(e, est_dim)
-    return LocalModel(
-        center=center, neighbor_count=m, covariance=cov,
-        projection=proj, est_dim=est_dim, degenerate_gap=gap,
-    )
+    return int(est_dim[0]), proj[0]
 
 
 def batch_local_models(
@@ -121,13 +141,11 @@ def batch_local_models(
     r: float,
     d: int | None = None,
     eta: float | None = None,
-    threads: int = 1,
 ) -> list[LocalModel]:
     """One LocalModel per center index, in center order.
 
     Exactly one of ``d`` (fixed tangent dimension) and ``eta``
-    (threshold scale for dimension estimation) must be given.  Results
-    are independent of ``threads``.
+    (threshold scale for dimension estimation) must be given.
     """
     if (d is None) == (eta is None):
         raise InvalidInput("pass exactly one of d (fixed) or eta (thresholded)")
@@ -135,23 +153,24 @@ def batch_local_models(
         raise InvalidInput(f"d={d} out of range for ambient dimension {cloud.dim}")
     if eta is not None and not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie in (0, 1)")
+    if not r > 0:
+        raise InvalidInput("radius must be positive")
     centers = np.asarray(centers, dtype=int)
     if centers.size == 0:
         raise InvalidInput("centers must be nonempty")
 
     neighbor_lists = index.tree.query_ball_point(cloud.coords[centers], r,
                                                  return_sorted=True)
-    results: list[LocalModel | None] = [None] * len(centers)
-
-    def work(k: int):
-        results[k] = _model_for_center(
-            cloud, neighbor_lists[k], cloud.coords[centers[k]], d, eta
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(centers))))
-    else:
-        for k in range(len(centers)):
-            work(k)
-    return results  # type: ignore[return-value]
+    counts, covs = _covariances(cloud.coords, neighbor_lists)
+    top, est_dim, proj = _tangents(covs, d=d, eta=eta)
+    degenerate = counts < 2
+    if eta is not None:
+        degenerate |= top <= 0.0
+    proj[degenerate] = 0.0
+    est_dim[degenerate] = 0
+    return [
+        LocalModel(center=x, neighbor_count=m, covariance=cov, projection=p,
+                   est_dim=k, degenerate=g)
+        for x, m, cov, p, k, g in zip(cloud.coords[centers], counts.tolist(), covs, proj,
+                                      est_dim.tolist(), degenerate.tolist())
+    ]

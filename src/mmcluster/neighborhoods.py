@@ -1,6 +1,6 @@
 """Radius neighborhoods, center subsampling, and graph components.
 
-Every neighborhood is a closed ball: radius_query(x, r) returns exactly
+Every neighborhood is a closed ball: index.query(x, r) returns exactly
 the indices j with ||x - x_j|| <= r.  The KD-tree is an exact
 accelerator, never an approximation.
 """
@@ -67,10 +67,6 @@ class NeighborhoodIndex:
         idx = self.tree.query_ball_point(np.asarray(x, float), r, return_sorted=True)
         return np.asarray(idx, dtype=int)
 
-    def query_all(self, r: float) -> list:
-        """Closed-ball neighbor lists for every point of the cloud."""
-        return self.tree.query_ball_point(self.cloud.coords, r, return_sorted=True)
-
     def pairs_within(self, r: float) -> Array:
         """All index pairs (i < j) at distance <= r, as an (m, 2) array."""
         out = self.tree.query_pairs(r, output_type="ndarray")
@@ -81,12 +77,6 @@ class NeighborhoodIndex:
 
 def build_index(cloud: PointCloud) -> NeighborhoodIndex:
     return NeighborhoodIndex(cloud)
-
-
-def radius_query(index: NeighborhoodIndex, x: Array, r: float) -> Array:
-    if r <= 0:
-        raise InvalidInput("radius must be positive")
-    return index.query(x, r)
 
 
 def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generator) -> Array:
@@ -140,14 +130,15 @@ def connected_components(g: Graph) -> Array:
         _, raw = _cc(adj, directed=False)
     else:
         raw = np.arange(n)
-    ids = np.empty(n, dtype=int)
-    seen: dict[int, int] = {}
-    for node in range(n):
-        key = int(raw[node])
-        if key not in seen:
-            seen[key] = len(seen) + 1
-        ids[node] = seen[key]
-    return ids
+    return renumber_first_occurrence(raw)[0]
+
+
+def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
+    """Map raw ids to 1-based ids in order of first appearance, and their count."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(1, first.size + 1)
+    return rank[inverse], first.size
 
 
 def assign_to_closest_survivor(

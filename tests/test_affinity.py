@@ -243,20 +243,6 @@ class TestAutoScales:
         assert got == vals[(len(vals) - 1) // 2]
 
 
-class TestBinaryGraphView:
-    def test_to_graph_edges(self):
-        w = np.array([[0.0, 1.0, 0.0],
-                      [1.0, 0.0, 1.0],
-                      [0.0, 1.0, 0.0]])
-        g = aff.to_graph(w)
-        assert g.n_nodes == 3
-        assert sorted(map(tuple, g.edges.tolist())) == [(0, 1), (1, 2)]
-
-    def test_diagonal_never_creates_loops(self):
-        w = np.eye(4)
-        assert aff.to_graph(w).edges.size == 0
-
-
 class TestInvariances:
     def _segment_models(self, coords, r):
         cloud = PointCloud(coords)

@@ -78,6 +78,22 @@ class TestCluster:
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "x0,x1\n1,2\n3\n",
+        "x0,x1\n1,abc\n",
+        "x0,x1,label\n1,2,1\n3,4,1.5\n",
+        "# seed: many\nx0,x1\n1,2\n",
+    ], ids=["ragged", "non_numeric", "non_integer_label", "bad_metadata"])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, text):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        rc = run_cli(["cluster", data, "--method", "alg4", "--r", 0.1,
+                      "--k", 2, "--d", 1, "--out", tmp_path / "x.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "bad.csv:" in err
+        assert "Traceback" not in err
+
     def test_alg4_report_scales_match_recomputation(self, tmp_path):
         data = tmp_path / "cross.csv"
         rc = run_cli(["generate", "--dataset", "two_segments", "--n", 1200,

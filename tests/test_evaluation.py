@@ -128,7 +128,7 @@ class TestRunTrials:
         import mmcluster.evaluation as ev
         from mmcluster.cluster import Labeling
 
-        def oracle_method(cloud, cfg, seed, threads=1):
+        def oracle_method(cloud, cfg, seed):
             return Labeling(assignments=cloud.labels.copy(),
                             K_found=int(cloud.labels.max()))
 

@@ -95,40 +95,6 @@ class TestNorms:
         assert linalg.spectral_norm(m) <= linalg.frobenius_norm(m) + 1e-12
 
 
-class TestProjectionOntoTopD:
-    def test_diagonal(self):
-        e = linalg.eigh(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(linalg.projection_onto_top_d(e, 2),
-                                   np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-
-    def test_full_rank_is_identity(self):
-        rng = np.random.default_rng(1)
-        e = linalg.eigh(random_symmetric(rng, 4))
-        np.testing.assert_allclose(linalg.projection_onto_top_d(e, 4), np.eye(4), atol=1e-10)
-
-    def test_trace_and_idempotency(self):
-        rng = np.random.default_rng(5)
-        e = linalg.eigh(random_symmetric(rng, 6))
-        p = linalg.projection_onto_top_d(e, 3)
-        assert np.trace(p) == pytest.approx(3.0, abs=1e-10)
-        assert linalg.spectral_norm(p @ p - p) <= 1e-10
-
-    def test_out_of_range(self):
-        e = linalg.eigh(np.eye(3))
-        with pytest.raises(InvalidInput):
-            linalg.projection_onto_top_d(e, 0)
-        with pytest.raises(InvalidInput):
-            linalg.projection_onto_top_d(e, 4)
-
-    def test_degenerate_gap_flag(self):
-        e = linalg.eigh(np.diag([2.0, 1.0, 1.0]))
-        assert linalg.degenerate_gap(e, 2)
-        assert not linalg.degenerate_gap(e, 1)
-        # a tie must still produce a valid projection
-        p = linalg.projection_onto_top_d(e, 2)
-        assert linalg.spectral_norm(p @ p - p) <= 1e-10
-
-
 class TestPrincipalAngles:
     def test_equal_projections(self):
         p = random_projection(np.random.default_rng(2), 4, 2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, random_symmetric
 from mmcluster import linalg
 from mmcluster.errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
 from mmcluster.local_pca import (
@@ -100,6 +100,22 @@ class TestEstimateProjection:
 
     def test_identity_full(self):
         np.testing.assert_allclose(estimate_projection(np.eye(3), 3), np.eye(3), atol=1e-12)
+        c = random_symmetric(np.random.default_rng(1), 4)
+        np.testing.assert_allclose(estimate_projection(c, 4), np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("c, d", [
+        (random_symmetric(np.random.default_rng(5), 6), 3),
+        (np.diag([2.0, 1.0, 1.0]), 2),  # a tie at the cut still gives a rank-d projection
+    ], ids=["random", "degenerate_spectrum"])
+    def test_trace_and_idempotency(self, c, d):
+        p = estimate_projection(c, d)
+        assert np.trace(p) == pytest.approx(d, abs=1e-10)
+        assert linalg.spectral_norm(p @ p - p) <= 1e-10
+
+    def test_out_of_range(self):
+        for d in (0, 4):
+            with pytest.raises(InvalidInput):
+                estimate_projection(np.eye(3), d)
 
     def test_tilted_segment(self):
         theta = math.pi / 4
@@ -155,6 +171,11 @@ class TestBatchLocalModels:
         with pytest.raises(InvalidInput):
             batch_local_models(cloud, index, np.arange(5), 0.2, d=1, eta=0.1)
 
+    def test_negative_radius(self):
+        cloud = segment_cloud(50, [1.0, 0.0])
+        with pytest.raises(InvalidInput):
+            batch_local_models(cloud, build_index(cloud), np.arange(5), -0.2, d=1)
+
     def test_degenerate_single_point(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 10.0]]))
         models = batch_local_models(cloud, build_index(cloud), np.array([0]), 0.5, d=1)
@@ -173,16 +194,27 @@ class TestBatchLocalModels:
             np.testing.assert_array_equal(m.covariance, cov)
             np.testing.assert_array_equal(m.projection, estimate_projection(cov, 1))
 
-    def test_parallel_bit_identical(self):
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_batch_matches_two_pass_reference(self, shift):
+        # a one-pass second moment would lose about 1e-10 at a shift of 1e3
         rng = np.random.default_rng(5)
-        cloud = PointCloud(rng.normal(size=(400, 3)))
+        cloud = PointCloud(rng.normal(size=(400, 3)) + shift)
         index = build_index(cloud)
         centers = np.arange(0, 400, 7)
-        seq = batch_local_models(cloud, index, centers, 0.6, d=2, threads=1)
-        par = batch_local_models(cloud, index, centers, 0.6, d=2, threads=4)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.covariance, b.covariance)
-            np.testing.assert_array_equal(a.projection, b.projection)
+        r, eta = 0.6, 0.1
+        models = batch_local_models(cloud, index, centers, r, eta=eta)
+        assert sum(m.degenerate for m in models) < len(models) // 2
+        for m, c in zip(models, centers):
+            nbrs = index.query(cloud.coords[c], r)
+            assert m.neighbor_count == nbrs.size
+            want = empirical_covariance(cloud.coords[nbrs])
+            if nbrs.size < 2:
+                assert m.degenerate and m.est_dim == 0
+                np.testing.assert_array_equal(m.covariance, want)
+                continue
+            assert np.abs(m.covariance - want).max() <= 1e-12 * np.abs(want).max()
+            w = np.linalg.eigvalsh(want)
+            assert m.est_dim == int((w > np.sqrt(eta) * w[-1]).sum())
 
     def test_model_invariants(self):
         rng = np.random.default_rng(6)

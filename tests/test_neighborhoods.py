@@ -10,7 +10,7 @@ from mmcluster.neighborhoods import (
     assign_to_closest_survivor,
     build_index,
     connected_components,
-    radius_query,
+    renumber_first_occurrence,
     subsample_centers,
 )
 
@@ -24,12 +24,12 @@ class TestRadiusQuery:
     def test_single_point(self):
         cloud = PointCloud(np.array([[1.0, 2.0]]))
         idx = build_index(cloud)
-        assert set(radius_query(idx, np.array([1.0, 2.0]), 0.5)) == {0}
+        assert set(idx.query(np.array([1.0, 2.0]), 0.5)) == {0}
 
     def test_boundary_inclusive(self):
         cloud = PointCloud(np.array([[0.0], [1.0], [2.0]]))
         idx = build_index(cloud)
-        assert set(radius_query(idx, np.array([1.0]), 1.0)) == {0, 1, 2}
+        assert set(idx.query(np.array([1.0]), 1.0)) == {0, 1, 2}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -39,7 +39,7 @@ class TestRadiusQuery:
         for _ in range(100):
             x = rng.uniform(-1, 1, size=3)
             r = float(rng.uniform(0.05, 0.8))
-            assert set(radius_query(idx, x, r)) == brute_force_ball(coords, x, r)
+            assert set(idx.query(x, r)) == brute_force_ball(coords, x, r)
 
 
 class TestSubsampleCenters:
@@ -131,6 +131,19 @@ class TestConnectedComponents:
         for a in range(n):
             for b in range(a + 1, n):
                 assert (base[a] == base[b]) == (mapped[perm[a]] == mapped[perm[b]])
+
+    def test_first_occurrence_numbering_random_labels(self):
+        def loop_oracle(raw):
+            seen = {}
+            return [seen.setdefault(int(v), len(seen) + 1) for v in raw], len(seen)
+
+        rng = np.random.default_rng(8)
+        for size, span in ((0, 1), (1, 5), (500, 7), (500, 1000)):
+            raw = rng.integers(-span, span, size=size)
+            ids, k = renumber_first_occurrence(raw)
+            want, k_want = loop_oracle(raw)
+            np.testing.assert_array_equal(ids, np.asarray(want, dtype=int))
+            assert k == k_want
 
     def test_self_loops_dropped(self):
         g = Graph(3, np.array([[0, 0], [1, 2]]))
