@@ -100,6 +100,8 @@ class TestEstimateProjection:
 
     def test_identity_full(self):
         np.testing.assert_allclose(estimate_projection(np.eye(3), 3), np.eye(3), atol=1e-12)
+
+    def test_full_rank_is_identity(self):
         c = random_symmetric(np.random.default_rng(1), 4)
         np.testing.assert_allclose(estimate_projection(c, 4), np.eye(4), atol=1e-10)
 
