@@ -26,8 +26,6 @@ from .linalg import (
     EigenDecomposition,
     eigh,
     frobenius_norm,
-    hellinger_distance,
-    mahalanobis_avg,
     principal_angles,
     spectral_norm,
 )
@@ -39,7 +37,6 @@ from .local_pca import (
     local_covariance,
 )
 from .neighborhoods import (
-    Graph,
     NeighborhoodIndex,
     PointCloud,
     assign_to_closest_survivor,
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DatasetSpec",
     "EigenDecomposition",
-    "Graph",
     "KMeansResult",
     "Labeling",
     "LocalModel",
@@ -84,10 +80,8 @@ __all__ = [
     "generate",
     "global_radius",
     "gong_affinity",
-    "hellinger_distance",
     "kmeans_pp",
     "local_covariance",
-    "mahalanobis_avg",
     "misclustering_rate",
     "njw_baseline",
     "njw_partition",

@@ -149,12 +149,9 @@ def gaussian_product_affinity(models: list[LocalModel], eps: float, eta: float) 
     """
     if eps <= 0 or eta <= 0:
         raise InvalidInput("eps and eta must be positive")
-    y = np.stack([m.center for m in models])
-    q = np.stack([m.projection for m in models])
-    d2 = _pairwise_sq_dists(y)
-    qd = _pairwise_proj_dists(q)
-    w = np.exp(-d2 / eps**2) * np.exp(-(qd * qd) / eta**2)
-    np.fill_diagonal(w, 1.0)
+    w = distance_gaussian_affinity(np.stack([m.center for m in models]), eps)
+    qd = _pairwise_proj_dists(np.stack([m.projection for m in models]))
+    w *= np.exp(-(qd * qd) / eta**2)  # the diagonal factor is exp(0) = 1
     return w
 
 

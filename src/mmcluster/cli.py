@@ -264,21 +264,9 @@ def cmd_cluster(args) -> int:
     cloud = read_cloud_csv(args.input)
 
     start = time.perf_counter()
-    from . import cluster as clu
-
-    rng = np.random.default_rng(args.seed)
-    info = {}
-    if cfg.method == "alg4":
-        labeling, info = clu.algorithm4_local_pca_spectral(
-            cloud, cfg.r, cfg.k, cfg.d, rng, eps=cfg.eps, eta=cfg.eta,
-            affinity_kind=cfg.affinity, ell=cfg.ell, alpha=cfg.alpha,
-            return_info=True)
-    elif cfg.method == "njw_baseline":
-        labeling, info = clu.njw_baseline(cloud, cfg.r, cfg.k, rng,
-                                          eps=cfg.eps, return_info=True)
-    else:
-        labeling = run_method(cloud, cfg, args.seed)
+    labeling = run_method(cloud, cfg, args.seed)
     runtime_ms = 1000.0 * (time.perf_counter() - start)
+    info = labeling.info
 
     write_labels_csv(labeling.assignments, args.out)
     report = {
@@ -287,11 +275,11 @@ def cmd_cluster(args) -> int:
             "r": cfg.r, "eps": cfg.eps, "eta": cfg.eta, "k": cfg.k, "d": cfg.d,
             "affinity": cfg.affinity, "norm": cfg.norm, "seed": args.seed,
         },
-        "eps_used": info.get("eps", cfg.eps),
-        "eta_used": info.get("eta", cfg.eta),
+        "eps_used": info["eps"],
+        "eta_used": info["eta"],
         "n_centers": info.get("n_centers"),
         "k_found": labeling.K_found,
-        "cluster_sizes": np.bincount(labeling.assignments)[1:].tolist(),
+        "cluster_sizes": info["cluster_sizes"],
         "n_removed": int(labeling.removed.size) if labeling.removed is not None else 0,
         "runtime_ms": runtime_ms,
     }

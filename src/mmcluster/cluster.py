@@ -11,12 +11,14 @@ Four entry points:
   projection comparison, connected components;
 * ``algorithm4_local_pca_spectral``  center subsampling, local PCA with a
   fixed tangent dimension, a soft product affinity, spectral partitioning
-  of the centers, nearest-center label transfer.
+  of the centers, nearest-center label transfer;
+* ``njw_baseline``  the same center-graph pipeline with the distance-only
+  affinity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +33,11 @@ from .errors import (
 )
 from .local_pca import batch_local_models
 from .neighborhoods import (
-    Graph,
     PointCloud,
     assign_to_closest_survivor,
     build_index,
     connected_components,
+    nearest_site,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -48,12 +50,16 @@ class Labeling:
     """Cluster assignment per point: 1-based ids in [1..K_found].
 
     ``removed`` holds the indices deleted by the intersection-removal step
-    before their reassignment, when the pipeline has such a step.
+    before their reassignment, when the pipeline has such a step.  ``info``
+    holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
+    used (None where it used none), ``cluster_sizes``, and for the
+    center-graph pipelines ``n_centers`` and ``center_indices``.
     """
 
     assignments: Array
     K_found: int
     removed: Array | None = None
+    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.assignments = np.asarray(self.assignments, dtype=int)
@@ -200,13 +206,14 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
         sub_edges = local[edges[alive]]
     else:
         sub_edges = np.empty((0, 2), dtype=int)
-    ids_sub = connected_components(Graph(survivors.size, sub_edges))
+    ids_sub = connected_components(survivors.size, sub_edges)
     k_found = int(ids_sub.max())
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
     if removed.size:
         assignments[removed] = assign_to_closest_survivor(cloud, removed, survivors, ids_sub)
-    return Labeling(assignments=assignments, K_found=k_found, removed=removed)
+    return Labeling(assignments=assignments, K_found=k_found, removed=removed,
+                    info=_scales_info(params, assignments, k_found))
 
 
 def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
@@ -219,23 +226,25 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     models = batch_local_models(cloud, index, np.arange(cloud.n), params.r, eta=params.eta)
     pairs, keep = aff.indicator_pairs(models, index, params.eps, params.eta,
                                       "projection", norm)
-    ids = connected_components(Graph(cloud.n, pairs[keep]))
-    return Labeling(assignments=ids, K_found=int(ids.max()))
+    ids = connected_components(cloud.n, pairs[keep])
+    k_found = int(ids.max())
+    return Labeling(assignments=ids, K_found=k_found, info=_scales_info(params, ids, k_found))
 
 
-def _nearest_center_labels(cloud: PointCloud, center_coords: Array,
-                           center_labels: Array) -> Array:
-    diff = cloud.coords[:, None, :] - center_coords[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    nearest = d2.argmin(axis=1)  # first minimum: lowest center index wins ties
-    return center_labels[nearest]
+def _cluster_sizes(labels: Array, k_found: int) -> list[int]:
+    return np.bincount(labels, minlength=k_found + 1)[1:].tolist()
+
+
+def _scales_info(params: aff.ScaleParams, labels: Array, k_found: int) -> dict:
+    return {"eps": params.eps, "eta": params.eta,
+            "cluster_sizes": _cluster_sizes(labels, k_found)}
 
 
 def algorithm4_local_pca_spectral(
     cloud: PointCloud,
     r: float,
     k: int,
-    d: int,
+    d: int | None,
     rng: np.random.Generator,
     eps: float | None = None,
     eta: float | None = None,
@@ -251,60 +260,53 @@ def algorithm4_local_pca_spectral(
     clustered by spectral partitioning of a product affinity (spatial
     Gaussian times projection-discrepancy Gaussian by default); data
     points inherit the label of their nearest center.  eps and eta are
-    selected automatically from the centers when not supplied.
+    selected automatically from the centers when not supplied.  The
+    ``distance`` kind drops the tangent factor, so it runs neither local
+    PCA nor the eta selection and ignores ``d``.
+
+    ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
     index = build_index(cloud)
     center_idx = subsample_centers(index, r, rng)
     n0 = center_idx.size
     if n0 < k:
         raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
-    models = batch_local_models(cloud, index, center_idx, r, d=d)
+    models = (None if affinity_kind == "distance"
+              else batch_local_models(cloud, index, center_idx, r, d=d))
     y = cloud.coords[center_idx]
 
+    eps_used = eta_used = None
     if n0 == 1:
-        labeling = Labeling(assignments=np.ones(cloud.n, dtype=int), K_found=1)
-        info = {"eps": None, "eta": None, "n_centers": 1,
-                "center_indices": center_idx, "cluster_sizes": [cloud.n]}
-        return (labeling, info) if return_info else labeling
-
-    eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
-    if eta is not None:
-        eta_used = float(eta)
+        center_labels = np.ones(1, dtype=int)
     else:
-        # the median can be exactly 0 on noiseless flat data; flooring it
-        # reproduces the eta -> 0 limit (connect identical tangents only)
-        eta_used = max(aff.auto_eta(models, eps_used), 1e-12)
+        eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
+        if models is not None:
+            # the median can be exactly 0 on noiseless flat data; flooring it
+            # reproduces the eta -> 0 limit (connect identical tangents only)
+            eta_used = (float(eta) if eta is not None
+                        else max(aff.auto_eta(models, eps_used), 1e-12))
 
-    if affinity_kind == "gauss":
-        w = aff.gaussian_product_affinity(models, eps_used, eta_used)
-    elif affinity_kind == "cov":
-        centers_cloud = PointCloud(y)
-        w = aff.cov_indicator_affinity(models, centers_cloud, eps_used, eta_used, r)
-    elif affinity_kind == "proj":
-        centers_cloud = PointCloud(y)
-        w = aff.proj_indicator_affinity(models, centers_cloud, eps_used, eta_used)
-    elif affinity_kind == "wang":
-        w = aff.wang_affinity(models, ell=min(ell, n0 - 1), alpha=alpha)
-    elif affinity_kind == "gong":
-        w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
-    else:
-        raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+        if affinity_kind == "distance":
+            w = aff.distance_gaussian_affinity(y, eps_used)
+        elif affinity_kind == "gauss":
+            w = aff.gaussian_product_affinity(models, eps_used, eta_used)
+        elif affinity_kind == "cov":
+            w = aff.cov_indicator_affinity(models, PointCloud(y), eps_used, eta_used, r)
+        elif affinity_kind == "proj":
+            w = aff.proj_indicator_affinity(models, PointCloud(y), eps_used, eta_used)
+        elif affinity_kind == "wang":
+            w = aff.wang_affinity(models, ell=min(ell, n0 - 1), alpha=alpha)
+        elif affinity_kind == "gong":
+            w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
+        else:
+            raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+        center_labels = njw_partition(w, k, rng).assignments
 
-    center_labeling = njw_partition(w, k, rng)
-    assignments = _nearest_center_labels(cloud, y, center_labeling.assignments)
-    labels, k_found = renumber_first_occurrence(assignments)
-    labeling = Labeling(assignments=labels, K_found=k_found)
-    if not return_info:
-        return labeling
-    sizes = np.bincount(labels, minlength=k_found + 1)[1:].tolist()
-    info = {
-        "eps": eps_used,
-        "eta": eta_used,
-        "n_centers": int(n0),
-        "center_indices": center_idx,
-        "cluster_sizes": sizes,
-    }
-    return labeling, info
+    labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])
+    info = {"eps": eps_used, "eta": eta_used, "n_centers": int(n0),
+            "center_indices": center_idx, "cluster_sizes": _cluster_sizes(labels, k_found)}
+    labeling = Labeling(assignments=labels, K_found=k_found, info=info)
+    return (labeling, labeling.info) if return_info else labeling
 
 
 def njw_baseline(
@@ -321,21 +323,5 @@ def njw_baseline(
     pipeline with the tangent factor dropped.  It cannot resolve
     intersections.
     """
-    index = build_index(cloud)
-    center_idx = subsample_centers(index, r, rng)
-    n0 = center_idx.size
-    if n0 < k:
-        raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
-    y = cloud.coords[center_idx]
-    if n0 == 1:
-        labeling = Labeling(assignments=np.ones(cloud.n, dtype=int), K_found=1)
-        return (labeling, {"eps": None, "n_centers": 1}) if return_info else labeling
-    eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
-    w = aff.distance_gaussian_affinity(y, eps_used)
-    center_labeling = njw_partition(w, k, rng)
-    assignments = _nearest_center_labels(cloud, y, center_labeling.assignments)
-    labels, k_found = renumber_first_occurrence(assignments)
-    labeling = Labeling(assignments=labels, K_found=k_found)
-    if not return_info:
-        return labeling
-    return labeling, {"eps": eps_used, "n_centers": int(n0)}
+    return algorithm4_local_pca_spectral(cloud, r, k, None, rng, eps=eps,
+                                         affinity_kind="distance", return_info=return_info)

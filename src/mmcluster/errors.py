@@ -9,10 +9,6 @@ class InvalidInput(MMClusterError):
     """Malformed argument: non-finite entries, shape mismatch, out-of-range parameter."""
 
 
-class SingularCovariance(MMClusterError):
-    """Covariance matrix is singular even after regularization."""
-
-
 class EmptyNeighborhood(MMClusterError):
     """A radius neighborhood contains no points."""
 

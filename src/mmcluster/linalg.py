@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SingularCovariance
+from .errors import InvalidInput
 
 Array = np.ndarray
 
@@ -86,15 +86,6 @@ def frobenius_norm(m: Array) -> float:
     return float(np.sqrt((m * m).sum()))
 
 
-def matrix_diff_norm(a: Array, b: Array, norm: str = "spectral") -> float:
-    """Norm of a - b under the selected mode ('spectral' or 'frobenius')."""
-    if norm == "spectral":
-        return spectral_norm(np.asarray(a, float) - np.asarray(b, float))
-    if norm == "frobenius":
-        return frobenius_norm(np.asarray(a, float) - np.asarray(b, float))
-    raise InvalidInput(f"unknown norm mode {norm!r}")
-
-
 def is_projection(m: Array, tol: float = 1e-8) -> bool:
     m = symmetrize(m)
     return bool(spectral_norm(m @ m - m) <= tol)
@@ -128,51 +119,3 @@ def principal_angles(p: Array, q: Array) -> Array:
     s = np.linalg.svd(u.T @ v, compute_uv=False)
     s = np.clip(s, -1.0, 1.0)
     return np.arccos(np.sort(s))
-
-
-def _regularize_pd(c: Array, reg: float) -> Array:
-    """Add the ridge and verify strict positive definiteness."""
-    c = _check_finite(c)
-    if reg:
-        c = c + reg * np.eye(c.shape[0])
-    w = np.linalg.eigvalsh(c)
-    if w[-1] <= 0 or w[0] <= 1e-14 * w[-1]:
-        raise SingularCovariance("covariance is singular after regularization")
-    return c
-
-
-def hellinger_distance(ci: Array, cj: Array, reg: float = 0.0) -> float:
-    """Hellinger distance between N(0, ci) and N(0, cj) for full-rank inputs.
-
-    ``reg`` is an absolute ridge added to both matrices before the
-    determinants are taken (callers use lambda * r^2).
-    """
-    ci = _regularize_pd(ci, reg)
-    cj = _regularize_pd(cj, reg)
-    if ci.shape != cj.shape:
-        raise InvalidInput("covariance dimensions differ")
-    d = ci.shape[0]
-    log_det_i = float(np.linalg.slogdet(ci)[1])
-    log_det_j = float(np.linalg.slogdet(cj)[1])
-    sign, log_det_sum = np.linalg.slogdet(ci + cj)
-    if sign <= 0:
-        raise SingularCovariance("sum of covariances is not positive definite")
-    bc = np.exp(0.5 * d * np.log(2.0) + 0.25 * (log_det_i + log_det_j) - 0.5 * log_det_sum)
-    return float(np.sqrt(max(0.0, 1.0 - bc)))
-
-
-def inv_sqrt(c: Array, reg: float = 0.0) -> Array:
-    """Symmetric PSD inverse square root, with optional absolute ridge."""
-    e = eigh(_regularize_pd(c, reg))
-    w = 1.0 / np.sqrt(e.eigenvalues)
-    return symmetrize(e.eigenvectors @ np.diag(w) @ e.eigenvectors.T)
-
-
-def mahalanobis_avg(ci: Array, cj: Array, xi: Array, xj: Array, reg: float = 0.0) -> float:
-    """Average Mahalanobis distance between two points under two covariances."""
-    xi = np.asarray(xi, float)
-    xj = np.asarray(xj, float)
-    diff = xi - xj
-    a = np.linalg.norm(inv_sqrt(ci, reg) @ diff)
-    b = np.linalg.norm(inv_sqrt(cj, reg) @ (-diff))
-    return float(a + b)

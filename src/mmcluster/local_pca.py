@@ -29,7 +29,9 @@ class LocalModel:
     """Per-center local PCA summary.
 
     degenerate marks neighborhoods with fewer than 2 points (zero
-    covariance); indicator affinities treat such models as unconnected.
+    covariance), and in fixed-dimension mode neighborhoods whose covariance
+    has fewer than d eigenvalues above rounding; indicator affinities treat
+    such models as unconnected.
     est_dim equals trace(projection) except for degenerate models, where
     both are zero.
     """
@@ -80,7 +82,7 @@ def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
 
 def _tangents(covs: Array, d: int | None = None,
               eta: float | None = None) -> tuple[Array, Array, Array]:
-    """Top eigenvalue, est_dim and projection for each matrix of a stack.
+    """Ascending eigenvalues, est_dim and projection for each matrix of a stack.
 
     With ``d`` the projection is onto the top-d eigenvectors; with
     ``eta`` onto those whose eigenvalue strictly exceeds sqrt(eta) times
@@ -93,7 +95,7 @@ def _tangents(covs: Array, d: int | None = None,
     else:
         keep = vals > np.sqrt(eta) * vals[:, -1:]
     proj = np.einsum("nij,nj,nkj->nik", vecs, keep.astype(float), vecs)
-    return vals[:, -1], keep.sum(axis=1), proj
+    return vals, keep.sum(axis=1), proj
 
 
 def _stack_of_one(c: Array) -> Array:
@@ -128,8 +130,8 @@ def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
     """
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie in (0, 1)")
-    top, est_dim, proj = _tangents(_stack_of_one(c), eta=eta)
-    if top[0] <= 0.0:
+    vals, est_dim, proj = _tangents(_stack_of_one(c), eta=eta)
+    if vals[0, -1] <= 0.0:
         raise ZeroCovariance("cannot threshold the zero covariance matrix")
     return int(est_dim[0]), proj[0]
 
@@ -162,10 +164,15 @@ def batch_local_models(
     neighbor_lists = index.tree.query_ball_point(cloud.coords[centers], r,
                                                  return_sorted=True)
     counts, covs = _covariances(cloud.coords, neighbor_lists)
-    top, est_dim, proj = _tangents(covs, d=d, eta=eta)
+    vals, est_dim, proj = _tangents(covs, d=d, eta=eta)
+    top = vals[:, -1]
     degenerate = counts < 2
     if eta is not None:
         degenerate |= top <= 0.0
+    else:
+        # a rank-d projection of a covariance with fewer than d eigenvalues
+        # above rounding (say a 2-point ball with d = 2) is arbitrary
+        degenerate |= (vals > cloud.dim * np.finfo(float).eps * top[:, None]).sum(axis=1) < d
     proj[degenerate] = 0.0
     est_dim[degenerate] = 0
     return [

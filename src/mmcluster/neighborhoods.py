@@ -7,7 +7,7 @@ accelerator, never an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -17,6 +17,9 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInput, NoSurvivors
 
 Array = np.ndarray
+
+# Bytes of one (rows, sites, D) float64 difference block in nearest_site.
+_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -101,35 +104,19 @@ def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generat
     return np.asarray(centers, dtype=int)
 
 
-@dataclass
-class Graph:
-    """Undirected graph on [0..n_nodes): symmetric edge set, no self-loops."""
-
-    n_nodes: int
-    edges: Array = field(default_factory=lambda: np.empty((0, 2), dtype=int))
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        if e.size:
-            if (e < 0).any() or (e >= self.n_nodes).any():
-                raise InvalidInput("edge endpoint out of range")
-            lo = e.min(axis=1)
-            hi = e.max(axis=1)
-            keep = lo != hi  # drop self-loops; duplicate edges are harmless
-            e = np.column_stack([lo[keep], hi[keep]])
-        self.edges = e
-
-
-def connected_components(g: Graph) -> Array:
-    """1-based component id per node, numbered by smallest contained node."""
-    n = g.n_nodes
-    if g.edges.size:
-        i, j = g.edges[:, 0], g.edges[:, 1]
-        data = np.ones(len(i), dtype=np.int8)
-        adj = sparse.coo_matrix((data, (i, j)), shape=(n, n))
+def connected_components(n_nodes: int, edges: Array) -> Array:
+    """1-based component id per node of the undirected graph on
+    [0..n_nodes) with the (m, 2) pairs ``edges``, numbered by smallest
+    contained node.  Self-loops and repeated pairs change nothing."""
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n_nodes:
+            raise InvalidInput("edge endpoint out of range")
+        data = np.ones(len(edges), dtype=np.int8)
+        adj = sparse.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
         _, raw = _cc(adj, directed=False)
     else:
-        raw = np.arange(n)
+        raw = np.arange(n_nodes)
     return renumber_first_occurrence(raw)[0]
 
 
@@ -141,6 +128,21 @@ def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
     return rank[inverse], first.size
 
 
+def nearest_site(points: Array, sites: Array) -> Array:
+    """Position in ``sites`` of each point's nearest site (ties: first site).
+
+    The squared distances are the per-element sums of a full
+    points x sites x D broadcast, taken over row blocks so that each
+    temporary stays near _BLOCK_BYTES.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, sites.size)))
+    nearest = np.empty(points.shape[0], dtype=np.intp)
+    for start in range(0, points.shape[0], rows):
+        diff = points[start:start + rows, None, :] - sites[None, :, :]
+        nearest[start:start + rows] = (diff * diff).sum(axis=2).argmin(axis=1)
+    return nearest
+
+
 def assign_to_closest_survivor(
     cloud: PointCloud, removed: Array, survivors: Array, survivor_labels: Array
 ) -> Array:
@@ -150,11 +152,5 @@ def assign_to_closest_survivor(
     if survivors.size == 0:
         raise NoSurvivors("cannot reassign: no surviving points")
     order = np.argsort(survivors, kind="stable")
-    survivors = survivors[order]
-    survivor_labels = np.asarray(survivor_labels)[order]
-    if removed.size == 0:
-        return np.empty(0, dtype=survivor_labels.dtype)
-    diff = cloud.coords[removed][:, None, :] - cloud.coords[survivors][None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    nearest = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index
-    return survivor_labels[nearest]
+    nearest = nearest_site(cloud.coords[removed], cloud.coords[survivors[order]])
+    return np.asarray(survivor_labels)[order][nearest]

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmcluster import cli
 from mmcluster.affinity import auto_epsilon, auto_eta
@@ -19,6 +25,55 @@ def segment_csv(path, n=600, tau=0.0):
     cloud = PointCloud(coords, labels=np.ones(n, dtype=int), seed=42)
     cli.write_cloud_csv(cloud, str(path))
     return cloud
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+WORDS = st.text(alphabet="abcxyz_", min_size=1, max_size=6)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 4))
+    coords = np.array(draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)))
+    labels = draw(st.none() | st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    n_clusters = draw(st.none() | st.integers(5, 9))
+    return PointCloud(coords, labels=labels, seed=draw(st.none() | st.integers(0, 2**64)),
+                      intrinsic_dim=draw(st.none() | st.integers(1, dim)),
+                      n_clusters=n_clusters)
+
+
+@st.composite
+def malformed_csv(draw):
+    """A point-cloud CSV with one defect: a ragged row, a non-numeric cell,
+    a non-integer label, non-integer metadata, or no data rows."""
+    cloud = draw(clouds())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "cloud.csv")
+        cli.write_cloud_csv(cloud, path)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    row = draw(st.integers(first, len(lines) - 1))
+    cells = lines[row].split(",")
+    kinds = ["ragged", "non_numeric", "bad_metadata", "empty"]
+    kind = draw(st.sampled_from(kinds + ["non_integer_label"] * (cloud.labels is not None)))
+    if kind == "ragged":
+        cells = cells[:-1] if len(cells) > 1 and draw(st.booleans()) else cells + ["0"]
+    elif kind == "non_numeric":
+        cells[draw(st.integers(0, cloud.dim - 1))] = draw(WORDS)
+    elif kind == "non_integer_label":
+        cells[-1] = draw(WORDS | st.floats(0.01, 0.99).map(lambda f: repr(1 + f)))
+    elif kind == "bad_metadata":
+        # after the written metadata, so that no valid line overrides it
+        key = draw(st.sampled_from(["seed", "intrinsic_dim", "n_clusters"]))
+        lines.insert(first - 1, f"# {key}: {draw(WORDS | st.just('2.5'))}")
+        row += 1
+    else:
+        return draw(st.sampled_from(["", "\n", lines[first - 1] + "\n",
+                                     "# mmcluster point cloud\n"]))
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
 
 
 class TestGenerate:
@@ -93,6 +148,34 @@ class TestCluster:
         assert rc == 2
         assert err.startswith("error: ") and "bad.csv:" in err
         assert "Traceback" not in err
+
+    @given(data=st.data())
+    def test_fuzzed_malformed_csv_exit_2(self, data):
+        text = data.draw(malformed_csv())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.csv"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli(["cluster", path, "--method", "alg4", "--r", 0.1,
+                              "--k", 2, "--d", 1, "--out", Path(tmp) / "x.csv"])
+        assert rc == 2, text
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+
+    @given(clouds())
+    def test_fuzzed_cloud_round_trip(self, cloud):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "cloud.csv")
+            cli.write_cloud_csv(cloud, path)
+            back = cli.read_cloud_csv(path)
+        np.testing.assert_array_equal(back.coords, cloud.coords)
+        if cloud.labels is None:
+            assert back.labels is None
+        else:
+            np.testing.assert_array_equal(back.labels, cloud.labels)
+        assert (back.seed, back.intrinsic_dim, back.n_clusters) == (
+            cloud.seed, cloud.intrinsic_dim, cloud.n_clusters)
 
     def test_alg4_report_scales_match_recomputation(self, tmp_path):
         data = tmp_path / "cross.csv"

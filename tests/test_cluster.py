@@ -290,6 +290,16 @@ class TestAlgorithm4:
         assert info["n_centers"] >= 2
         assert sum(info["cluster_sizes"]) == cloud.n
 
+    def test_info_keys_do_not_depend_on_path(self):
+        cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
+        one = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))
+        base = njw_baseline(cloud, 0.06, 2, np.random.default_rng(0))
+        single = algorithm4_local_pca_spectral(one, 5.0, 1, 1, np.random.default_rng(0))
+        assert base.info["eps"] > 0 and base.info["eta"] is None
+        assert single.info["n_centers"] == 1 and single.info["cluster_sizes"] == [2]
+        assert set(base.info) == set(single.info) == {
+            "eps", "eta", "n_centers", "center_indices", "cluster_sizes"}
+
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments
         rates = []

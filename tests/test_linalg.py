@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_projection, random_symmetric
 from mmcluster import linalg
-from mmcluster.errors import InvalidInput, SingularCovariance
+from mmcluster.errors import InvalidInput
 
 
 def line_projection(theta):
@@ -140,65 +140,6 @@ class TestPDiffLemma:
             p = random_projection(rng, ambient, d1)
             q = random_projection(rng, ambient, d2)
             assert abs(linalg.spectral_norm(p - q) - 1.0) <= 1e-9
-
-
-class TestHellinger:
-    def test_identical_identity(self):
-        assert linalg.hellinger_distance(np.eye(3), np.eye(3)) == 0.0
-
-    def test_scaled_identity_pair(self):
-        got = linalg.hellinger_distance(np.eye(2), 4.0 * np.eye(2))
-        assert got == pytest.approx(math.sqrt(1.0 / 5.0), abs=1e-12)
-
-    def test_identical_scaled(self):
-        c = 2.5 * np.eye(3)
-        assert linalg.hellinger_distance(c, c) == pytest.approx(0.0, abs=1e-7)
-
-    def test_symmetry_and_zero_iff_equal(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = random_symmetric(rng, 3)
-            ci = a @ a.T + 0.5 * np.eye(3)
-            b = random_symmetric(rng, 3)
-            cj = b @ b.T + 0.5 * np.eye(3)
-            dij = linalg.hellinger_distance(ci, cj)
-            dji = linalg.hellinger_distance(cj, ci)
-            assert dij == pytest.approx(dji, abs=1e-12)
-            assert 0.0 <= dij <= 1.0
-            assert linalg.hellinger_distance(ci, ci) <= 1e-7
-            if linalg.spectral_norm(ci - cj) > 1e-6:
-                assert dij > 0.0
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularCovariance):
-            linalg.hellinger_distance(np.diag([1.0, 0.0]), np.eye(2))
-
-    def test_regularization_rescues_singular(self):
-        d = linalg.hellinger_distance(np.diag([1.0, 0.0]), np.eye(2), reg=1e-8)
-        assert 0.0 < d < 1.0
-
-
-class TestMahalanobisAvg:
-    def test_zero_for_same_point(self):
-        x = np.array([1.0, 2.0])
-        assert linalg.mahalanobis_avg(np.eye(2), np.eye(2), x, x) == 0.0
-
-    def test_identity_unit_distance(self):
-        xi = np.array([1.0, 0.0])
-        xj = np.array([0.0, 0.0])
-        assert linalg.mahalanobis_avg(np.eye(2), np.eye(2), xi, xj) == pytest.approx(2.0)
-
-    def test_hand_example(self):
-        ci = np.diag([4.0, 1.0])
-        cj = np.eye(2)
-        xi = np.array([2.0, 0.0])
-        xj = np.array([0.0, 0.0])
-        assert linalg.mahalanobis_avg(ci, cj, xi, xj) == pytest.approx(3.0)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularCovariance):
-            linalg.mahalanobis_avg(np.diag([1.0, 0.0]), np.eye(2),
-                                   np.zeros(2), np.ones(2))
 
 
 @given(st.integers(0, 10_000), st.integers(2, 6))

@@ -185,6 +185,27 @@ class TestBatchLocalModels:
         assert models[0].neighbor_count == 1
         np.testing.assert_array_equal(models[0].covariance, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("ball", [
+        [[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]],
+        [[0.1, 0.7, 0.3]] * 3,
+    ], ids=["two_points", "duplicates"])
+    def test_degenerate_rank_below_d(self, ball):
+        # the covariance has rank 1 (or only rounding noise), so a rank-2
+        # projection of it would be left to rounding
+        coords = np.vstack([ball, [[5.0, 5.0, 5.0]]])
+        theta = 1e-12
+        rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
+                        [math.sin(theta), math.cos(theta), 0.0],
+                        [0.0, 0.0, 1.0]])
+        projections = []
+        for pts in (coords, coords @ rot.T):
+            cloud = PointCloud(pts)
+            (m,) = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, d=2)
+            assert m.degenerate and m.est_dim == 0 and m.neighbor_count == len(ball)
+            projections.append(m.projection)
+        np.testing.assert_array_equal(projections[0], projections[1])
+        np.testing.assert_array_equal(projections[0], np.zeros((3, 3)))
+
     def test_batch_equals_per_center(self):
         rng = np.random.default_rng(4)
         cloud = PointCloud(rng.normal(size=(200, 2)))

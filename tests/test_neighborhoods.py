@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmcluster.errors import NoSurvivors
+from mmcluster import neighborhoods
+from mmcluster.errors import InvalidInput, NoSurvivors
 from mmcluster.neighborhoods import (
-    Graph,
     PointCloud,
     assign_to_closest_survivor,
     build_index,
     connected_components,
+    nearest_site,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -98,12 +99,11 @@ def bfs_components(n, edges):
 
 class TestConnectedComponents:
     def test_edgeless(self):
-        ids = connected_components(Graph(4))
+        ids = connected_components(4, np.empty((0, 2), dtype=int))
         np.testing.assert_array_equal(ids, [1, 2, 3, 4])
 
     def test_path_plus_isolated(self):
-        g = Graph(4, np.array([[0, 1], [1, 2]]))
-        ids = connected_components(g)
+        ids = connected_components(4, np.array([[0, 1], [1, 2]]))
         np.testing.assert_array_equal(ids, [1, 1, 1, 2])
 
     def test_random_graph_matches_bfs(self):
@@ -112,7 +112,7 @@ class TestConnectedComponents:
         mask = rng.random((n, n)) < 0.01
         i, j = np.nonzero(np.triu(mask, k=1))
         edges = np.column_stack([i, j])
-        got = connected_components(Graph(n, edges))
+        got = connected_components(n, edges)
         want = bfs_components(n, edges)
         np.testing.assert_array_equal(got, want)
 
@@ -123,10 +123,10 @@ class TestConnectedComponents:
         mask = rng.random((n, n)) < 0.05
         i, j = np.nonzero(np.triu(mask, k=1))
         edges = np.column_stack([i, j])
-        base = connected_components(Graph(n, edges))
+        base = connected_components(n, edges)
         perm = rng.permutation(n)
         mapped_edges = perm[edges] if edges.size else edges
-        mapped = connected_components(Graph(n, mapped_edges))
+        mapped = connected_components(n, mapped_edges)
         # same partition up to id permutation
         for a in range(n):
             for b in range(a + 1, n):
@@ -146,8 +146,14 @@ class TestConnectedComponents:
             assert k == k_want
 
     def test_self_loops_dropped(self):
-        g = Graph(3, np.array([[0, 0], [1, 2]]))
-        assert g.edges.shape == (1, 2)
+        with_loops = connected_components(3, np.array([[0, 0], [1, 2], [2, 2]]))
+        np.testing.assert_array_equal(with_loops, connected_components(3, np.array([[1, 2]])))
+        np.testing.assert_array_equal(with_loops, [1, 2, 2])
+
+    @pytest.mark.parametrize("bad", [[[0, 3]], [[-1, 0]]])
+    def test_endpoint_out_of_range(self, bad):
+        with pytest.raises(InvalidInput):
+            connected_components(3, np.array(bad))
 
 
 class TestAssignToClosestSurvivor:
@@ -185,3 +191,19 @@ class TestAssignToClosestSurvivor:
         with pytest.raises(NoSurvivors):
             assign_to_closest_survivor(cloud, np.array([0]), np.array([], dtype=int),
                                        np.array([], dtype=int))
+
+
+class TestNearestSite:
+    def test_blocks_match_full_broadcast(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(101, 3))
+        sites = np.vstack([rng.normal(size=(7, 3)), points[:2]])  # exact hits
+        diff = points[:, None, :] - sites[None, :, :]
+        want = (diff * diff).sum(axis=2).argmin(axis=1)
+        # 8 * 9 * 3 bytes per row: a block of 2 rows, with a short last block
+        monkeypatch.setattr(neighborhoods, "_BLOCK_BYTES", 2 * 8 * sites.size)
+        np.testing.assert_array_equal(nearest_site(points, sites), want)
+
+    def test_tie_goes_to_first_site(self):
+        sites = np.array([[1.0], [-1.0], [1.0]])
+        assert nearest_site(np.array([[0.0], [2.0]]), sites).tolist() == [0, 0]
