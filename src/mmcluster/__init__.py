@@ -30,7 +30,7 @@ from .linalg import (
     spectral_norm,
 )
 from .local_pca import (
-    LocalModel,
+    LocalModels,
     batch_local_models,
     estimate_dim_thresholded,
     estimate_projection,
@@ -53,7 +53,7 @@ __all__ = [
     "EigenDecomposition",
     "KMeansResult",
     "Labeling",
-    "LocalModel",
+    "LocalModels",
     "MethodConfig",
     "NeighborhoodIndex",
     "PointCloud",

@@ -14,8 +14,8 @@ from scipy.spatial import cKDTree
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
-from .local_pca import LocalModel
-from .neighborhoods import NeighborhoodIndex, PointCloud
+from .local_pca import LocalModels
+from .neighborhoods import NeighborhoodIndex, PointCloud, build_index
 
 Array = np.ndarray
 
@@ -25,20 +25,16 @@ class ScaleParams:
     """Scales of the neighborhood graph construction.
 
     r: local PCA radius (length); eps: spatial scale (length);
-    eta: covariance/projection scale (dimensionless, relative);
-    tau: generation-side noise bound, carried for reporting.
+    eta: covariance/projection scale (dimensionless, relative).
     """
 
     r: float
     eps: float
     eta: float
-    tau: float = 0.0
 
     def __post_init__(self):
         if self.r <= 0 or self.eps <= 0 or self.eta <= 0:
             raise InvalidInput("r, eps, eta must be positive")
-        if self.tau < 0:
-            raise InvalidInput("tau must be nonnegative")
 
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
@@ -50,80 +46,58 @@ def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
     raise InvalidInput(f"unknown norm mode {norm!r}")
 
 
-def _indicator_from_pairs(n: int, pairs: Array, keep: Array) -> Array:
-    w = np.zeros((n, n))
-    if pairs.size:
-        i = pairs[keep, 0]
-        j = pairs[keep, 1]
-        w[i, j] = 1.0
-        w[j, i] = 1.0
-    return w
-
-
 def indicator_pairs(
-    models: list[LocalModel],
+    stack: Array,
+    degenerate: Array,
     index: NeighborhoodIndex,
     eps: float,
     threshold: float,
-    attr: str,
     norm: str,
 ) -> tuple[Array, Array]:
     """Sparse form of the indicator affinities: candidate pairs within eps
-    and the mask of pairs whose matrix gap stays within ``threshold``.
+    and the mask of pairs whose gap in ``stack`` (n, D, D) stays within
+    ``threshold``.
 
-    Degenerate models never connect.  This is the exact edge set of the
-    dense indicator matrices, without materializing n x n storage.
+    Models flagged in ``degenerate`` never connect.  This is the exact
+    edge set of the dense indicator matrices, without materializing
+    n x n storage.
     """
     pairs = index.pairs_within(eps)
     if pairs.size == 0:
         return pairs.reshape(0, 2), np.zeros(0, dtype=bool)
-    stack = np.stack([getattr(m, attr) for m in models])
     keep = pairwise_diff_norms(stack, pairs, norm) <= threshold
-    alive = ~np.asarray([m.degenerate for m in models])
-    keep &= alive[pairs[:, 0]] & alive[pairs[:, 1]]
+    keep &= ~(degenerate[pairs[:, 0]] | degenerate[pairs[:, 1]])
     return pairs, keep
 
 
-def cov_indicator_affinity(
-    models: list[LocalModel],
-    cloud: PointCloud,
-    eps: float,
-    eta: float,
-    r: float,
-    norm: str = "spectral",
-    index: NeighborhoodIndex | None = None,
-) -> Array:
+def _dense_indicator(models: LocalModels, stack: Array, eps: float,
+                     threshold: float, norm: str) -> Array:
+    n = len(models)
+    index = build_index(PointCloud(models.centers))
+    pairs, keep = indicator_pairs(stack, models.degenerate, index, eps, threshold, norm)
+    w = np.zeros((n, n))
+    i, j = pairs[keep].T
+    w[i, j] = w[j, i] = 1.0
+    return w
+
+
+def cov_indicator_affinity(models: LocalModels, eps: float, eta: float, r: float,
+                           norm: str = "spectral") -> Array:
     """Binary affinity: 1 iff dist <= eps and ||C_i - C_j|| <= eta * r^2.
 
     Zero diagonal.  Degenerate models are left unconnected.
     """
-    n = len(models)
-    if n != cloud.n:
-        raise InvalidInput("one model per data point is required")
-    index = index or NeighborhoodIndex(cloud)
-    pairs, keep = indicator_pairs(models, index, eps, eta * r * r, "covariance", norm)
-    return _indicator_from_pairs(n, pairs, keep)
+    return _dense_indicator(models, models.covariance, eps, eta * r * r, norm)
 
 
-def proj_indicator_affinity(
-    models: list[LocalModel],
-    cloud: PointCloud,
-    eps: float,
-    eta: float,
-    norm: str = "spectral",
-    index: NeighborhoodIndex | None = None,
-) -> Array:
+def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
+                            norm: str = "spectral") -> Array:
     """Binary affinity: 1 iff dist <= eps and ||Q_i - Q_j|| <= eta.
 
     Models with differing estimated dimension sit at spectral distance 1,
     so they disconnect whenever eta < 1.
     """
-    n = len(models)
-    if n != cloud.n:
-        raise InvalidInput("one model per data point is required")
-    index = index or NeighborhoodIndex(cloud)
-    pairs, keep = indicator_pairs(models, index, eps, eta, "projection", norm)
-    return _indicator_from_pairs(n, pairs, keep)
+    return _dense_indicator(models, models.projection, eps, eta, norm)
 
 
 def _pairwise_sq_dists(y: Array) -> Array:
@@ -142,15 +116,15 @@ def _pairwise_proj_dists(projs: Array, norm: str = "spectral") -> Array:
     return out
 
 
-def gaussian_product_affinity(models: list[LocalModel], eps: float, eta: float) -> Array:
+def gaussian_product_affinity(models: LocalModels, eps: float, eta: float) -> Array:
     """W_ij = exp(-||y_i-y_j||^2/eps^2) * exp(-||Q_i-Q_j||^2/eta^2).
 
     Dense, symmetric, entries in (0, 1], unit diagonal.
     """
     if eps <= 0 or eta <= 0:
         raise InvalidInput("eps and eta must be positive")
-    w = distance_gaussian_affinity(np.stack([m.center for m in models]), eps)
-    qd = _pairwise_proj_dists(np.stack([m.projection for m in models]))
+    w = distance_gaussian_affinity(models.centers, eps)
+    qd = _pairwise_proj_dists(models.projection)
     w *= np.exp(-(qd * qd) / eta**2)  # the diagonal factor is exp(0) = 1
     return w
 
@@ -182,19 +156,20 @@ def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
     return adj, dist[:, ell]
 
 
-def wang_affinity(models: list[LocalModel], ell: int, alpha: float) -> Array:
+def wang_affinity(models: LocalModels, ell: int, alpha: float) -> Array:
     """Mutual ell-NN indicator times the product of principal-angle cosines
     raised to alpha.  Requires equal estimated dimensions; unit diagonal.
     """
     if alpha <= 0:
         raise InvalidInput("alpha must be positive")
-    dims = {m.est_dim for m in models}
-    if len(dims) != 1 or models[0].est_dim < 1:
-        raise DimensionMismatch(f"estimated dimensions differ: {sorted(dims)}")
-    d = models[0].est_dim
-    y = np.stack([m.center for m in models])
-    adj, _ = _knn_adjacency(y, ell)
-    bases = np.stack([linalg.eigh(m.projection).eigenvectors[:, :d] for m in models])
+    dims = np.unique(models.est_dim)
+    if dims.size != 1 or dims[0] < 1:
+        raise DimensionMismatch(f"estimated dimensions differ: {dims.tolist()}")
+    d = int(dims[0])
+    adj, _ = _knn_adjacency(models.centers, ell)
+    # any orthonormal basis of each range will do: |det(U_i^T U_j)| does
+    # not depend on the choice
+    bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
     n = len(models)
     w = np.zeros((n, n))
     i, j = np.nonzero(np.triu(adj, k=1))
@@ -208,7 +183,7 @@ def wang_affinity(models: list[LocalModel], ell: int, alpha: float) -> Array:
     return w
 
 
-def gong_affinity(models: list[LocalModel], ell: int, eta: float) -> Array:
+def gong_affinity(models: LocalModels, ell: int, eta: float) -> Array:
     """Self-tuned Gaussian times a principal-angle penalty.
 
     eps_i is the distance from point i to its ell-th nearest neighbor.
@@ -217,14 +192,11 @@ def gong_affinity(models: list[LocalModel], ell: int, eta: float) -> Array:
     """
     if eta <= 0:
         raise InvalidInput("eta must be positive")
-    y = np.stack([m.center for m in models])
-    _, eps_i = _knn_adjacency(y, ell)
+    _, eps_i = _knn_adjacency(models.centers, ell)
     if (eps_i == 0).any():
         raise InvalidInput("gong affinity requires distinct points up to the ell-th neighbor")
-    q = np.stack([m.projection for m in models])
-    d2 = _pairwise_sq_dists(y)
-    s = d2 / np.outer(eps_i, eps_i)
-    qd = np.clip(_pairwise_proj_dists(q), 0.0, 1.0)
+    s = _pairwise_sq_dists(models.centers) / np.outer(eps_i, eps_i)
+    qd = np.clip(_pairwise_proj_dists(models.projection), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         angle_term = np.where(s > 0, np.exp(-np.arcsin(qd) ** 2 / (eta**2 * s)), 0.0)
     coincident = (s == 0)
@@ -252,12 +224,11 @@ def lower_median(values: Array) -> float:
     return float(values[(values.size - 1) // 2])
 
 
-def auto_eta(models: list[LocalModel], eps: float) -> float:
+def auto_eta(models: LocalModels, eps: float) -> float:
     """Projection scale: median of ||Q_i - Q_j|| over center pairs closer
     than eps (strict inequality; spectral norm)."""
-    y = np.stack([m.center for m in models])
-    q = np.stack([m.projection for m in models])
-    n = y.shape[0]
+    y = models.centers
+    n = len(models)
     i, j = np.triu_indices(n, k=1)
     # compare distances, not squared distances: eps is itself a pairwise
     # distance (eq. for the spatial scale), and the strict < must see the
@@ -266,5 +237,6 @@ def auto_eta(models: list[LocalModel], eps: float) -> float:
     close = dist < eps
     if not close.any():
         raise NoPairsInRange("no center pair strictly within eps")
-    vals = pairwise_diff_norms(q, np.column_stack([i[close], j[close]]), "spectral")
+    vals = pairwise_diff_norms(models.projection, np.column_stack([i[close], j[close]]),
+                               "spectral")
     return lower_median(vals)

@@ -1,6 +1,6 @@
 """Clustering pipelines.
 
-Four entry points:
+Five entry points:
 
 * ``njw_partition``        spectral graph partitioning of an affinity matrix
   (degree normalization, top-K eigenvector embedding, row renormalization,
@@ -181,15 +181,14 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     index = build_index(cloud)
     n = cloud.n
     models = batch_local_models(cloud, index, np.arange(n), params.r, d=1)
-    pairs, keep = aff.indicator_pairs(models, index, params.eps,
-                                      params.eta * params.r**2, "covariance", norm)
+    pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate, index,
+                                      params.eps, params.eta * params.r**2, norm)
     edges = pairs[keep]
 
     removed_mask = np.zeros(n, dtype=bool)
     pairs_r = index.pairs_within(params.r)
     if pairs_r.size:
-        covs = np.stack([m.covariance for m in models])
-        gaps = aff.pairwise_diff_norms(covs, pairs_r, norm)
+        gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
         bad = pairs_r[gaps > params.eta * params.r**2]
         removed_mask[bad.ravel()] = True
 
@@ -224,8 +223,8 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
         raise InvalidInput("projection comparison requires eta < 1")
     index = build_index(cloud)
     models = batch_local_models(cloud, index, np.arange(cloud.n), params.r, eta=params.eta)
-    pairs, keep = aff.indicator_pairs(models, index, params.eps, params.eta,
-                                      "projection", norm)
+    pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
+                                      params.eps, params.eta, norm)
     ids = connected_components(cloud.n, pairs[keep])
     k_found = int(ids.max())
     return Labeling(assignments=ids, K_found=k_found, info=_scales_info(params, ids, k_found))
@@ -291,9 +290,9 @@ def algorithm4_local_pca_spectral(
         elif affinity_kind == "gauss":
             w = aff.gaussian_product_affinity(models, eps_used, eta_used)
         elif affinity_kind == "cov":
-            w = aff.cov_indicator_affinity(models, PointCloud(y), eps_used, eta_used, r)
+            w = aff.cov_indicator_affinity(models, eps_used, eta_used, r)
         elif affinity_kind == "proj":
-            w = aff.proj_indicator_affinity(models, PointCloud(y), eps_used, eta_used)
+            w = aff.proj_indicator_affinity(models, eps_used, eta_used)
         elif affinity_kind == "wang":
             w = aff.wang_affinity(models, ell=min(ell, n0 - 1), alpha=alpha)
         elif affinity_kind == "gong":

@@ -25,23 +25,28 @@ Array = np.ndarray
 
 
 @dataclass
-class LocalModel:
-    """Per-center local PCA summary.
+class LocalModels:
+    """Local PCA summaries of n centers, as stacked arrays in center order.
 
+    centers (n, D), neighbor_count (n,), covariance (n, D, D),
+    projection (n, D, D), est_dim (n,) and degenerate (n,) bool.
     degenerate marks neighborhoods with fewer than 2 points (zero
-    covariance), and in fixed-dimension mode neighborhoods whose covariance
-    has fewer than d eigenvalues above rounding; indicator affinities treat
-    such models as unconnected.
+    covariance), and neighborhoods whose covariance has fewer than d
+    eigenvalues (none, in thresholded mode) above rounding; indicator
+    affinities treat such models as unconnected.
     est_dim equals trace(projection) except for degenerate models, where
     both are zero.
     """
 
-    center: Array
-    neighbor_count: int
+    centers: Array
+    neighbor_count: Array
     covariance: Array
     projection: Array
-    est_dim: int
-    degenerate: bool = False
+    est_dim: Array
+    degenerate: Array
+
+    def __len__(self) -> int:
+        return self.centers.shape[0]
 
 
 def empirical_covariance(points: Array) -> Array:
@@ -80,20 +85,20 @@ def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
     return counts, covs
 
 
-def _tangents(covs: Array, d: int | None = None,
-              eta: float | None = None) -> tuple[Array, Array, Array]:
+def _tangents(covs: Array, d: int | None = None, eta: float | None = None,
+              floor: float = 0.0) -> tuple[Array, Array, Array]:
     """Ascending eigenvalues, est_dim and projection for each matrix of a stack.
 
     With ``d`` the projection is onto the top-d eigenvectors; with
-    ``eta`` onto those whose eigenvalue strictly exceeds sqrt(eta) times
-    the top one.  A projection V diag(keep) V^T does not depend on the
-    sign of the eigenvectors.
+    ``eta`` onto those whose eigenvalue strictly exceeds both sqrt(eta)
+    times the top one and ``floor``.  A projection V diag(keep) V^T does
+    not depend on the sign of the eigenvectors.
     """
     vals, vecs = np.linalg.eigh(covs)  # ascending
     if d is not None:
         keep = np.broadcast_to(np.arange(vals.shape[1]) >= vals.shape[1] - d, vals.shape)
     else:
-        keep = vals > np.sqrt(eta) * vals[:, -1:]
+        keep = vals > np.maximum(np.sqrt(eta) * vals[:, -1:], floor)
     proj = np.einsum("nij,nj,nkj->nik", vecs, keep.astype(float), vecs)
     return vals, keep.sum(axis=1), proj
 
@@ -143,8 +148,8 @@ def batch_local_models(
     r: float,
     d: int | None = None,
     eta: float | None = None,
-) -> list[LocalModel]:
-    """One LocalModel per center index, in center order.
+) -> LocalModels:
+    """Local PCA of the closed r-ball around each center index, in center order.
 
     Exactly one of ``d`` (fixed tangent dimension) and ``eta``
     (threshold scale for dimension estimation) must be given.
@@ -164,20 +169,23 @@ def batch_local_models(
     neighbor_lists = index.tree.query_ball_point(cloud.coords[centers], r,
                                                  return_sorted=True)
     counts, covs = _covariances(cloud.coords, neighbor_lists)
-    vals, est_dim, proj = _tangents(covs, d=d, eta=eta)
-    top = vals[:, -1]
-    degenerate = counts < 2
+    # a mean that is off by rounding leaves covariance entries of about
+    # (D eps_mach max|x|)^2 even for a ball of identical points; no
+    # eigenvalue at or below that level counts
+    rounding = cloud.dim * np.finfo(float).eps
+    floor = (rounding * np.abs(cloud.coords).max()) ** 2
+    vals, est_dim, proj = _tangents(covs, d=d, eta=eta, floor=floor)
+    top = vals[:, -1:]
     if eta is not None:
-        degenerate |= top <= 0.0
+        degenerate = top[:, 0] <= floor
     else:
         # a rank-d projection of a covariance with fewer than d eigenvalues
         # above rounding (say a 2-point ball with d = 2) is arbitrary
-        degenerate |= (vals > cloud.dim * np.finfo(float).eps * top[:, None]).sum(axis=1) < d
+        above = vals > np.maximum(rounding * top, floor)
+        degenerate = above.sum(axis=1) < d
+    degenerate |= counts < 2
     proj[degenerate] = 0.0
     est_dim[degenerate] = 0
-    return [
-        LocalModel(center=x, neighbor_count=m, covariance=cov, projection=p,
-                   est_dim=k, degenerate=g)
-        for x, m, cov, p, k, g in zip(cloud.coords[centers], counts.tolist(), covs, proj,
-                                      est_dim.tolist(), degenerate.tolist())
-    ]
+    return LocalModels(centers=cloud.coords[centers], neighbor_count=counts,
+                       covariance=covs, projection=proj, est_dim=est_dim,
+                       degenerate=degenerate)

@@ -41,6 +41,9 @@ class PointCloud:
             raise InvalidInput(f"coords must be (n, D) with n >= 1, got {self.coords.shape}")
         if not np.all(np.isfinite(self.coords)):
             raise InvalidInput("coords contain non-finite values")
+        # a squared distance is at most 4 D max|x|^2
+        if np.abs(self.coords).max() > np.sqrt(np.finfo(float).max / (4 * self.dim)):
+            raise InvalidInput("coords too large: squared distances would overflow")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if self.labels.shape != (self.coords.shape[0],):

@@ -19,7 +19,7 @@ from mmcluster.cluster import (
 )
 from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.evaluation import MethodConfig, angle_sweep, run_trials
-from mmcluster.local_pca import LocalModel, estimate_projection, local_covariance
+from mmcluster.local_pca import LocalModels, estimate_projection, local_covariance
 from mmcluster.neighborhoods import PointCloud, build_index
 from mmcluster.seeding import derive_seed
 
@@ -239,13 +239,12 @@ def test_criterion_7_auto_parameter_rules():
         n0 = int(rng.integers(5, 40))
         ambient = int(rng.integers(2, 4))
         y = rng.normal(size=(n0, ambient))
-        models = []
-        for i in range(n0):
-            proj = random_projection(rng, ambient, int(rng.integers(1, ambient)))
-            models.append(LocalModel(center=y[i], neighbor_count=1,
-                                     covariance=np.zeros((ambient, ambient)),
-                                     projection=proj,
-                                     est_dim=int(round(np.trace(proj)))))
+        projs = np.stack([random_projection(rng, ambient, int(rng.integers(1, ambient)))
+                          for _ in range(n0)])
+        models = LocalModels(centers=y, neighbor_count=np.ones(n0, dtype=int),
+                             covariance=np.zeros((n0, ambient, ambient)), projection=projs,
+                             est_dim=np.rint(np.trace(projs, axis1=1, axis2=2)).astype(int),
+                             degenerate=np.zeros(n0, dtype=bool))
         got_eps = auto_epsilon(y)
         # brute-force double loop
         best = -math.inf
@@ -262,8 +261,7 @@ def test_criterion_7_auto_parameter_rules():
         for i in range(n0):
             for j in range(i + 1, n0):
                 if float(np.sqrt(((y[i] - y[j]) ** 2).sum())) < got_eps:
-                    vals.append(linalg.spectral_norm(models[i].projection
-                                                     - models[j].projection))
+                    vals.append(linalg.spectral_norm(projs[i] - projs[j]))
         vals.sort()
         eta_ok += (got_eta == vals[(len(vals) - 1) // 2])
     check(7, eps_ok == 100 and eta_ok == 100,

@@ -27,7 +27,8 @@ def segment_csv(path, n=600, tau=0.0):
     return cloud
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# PointCloud rejects coordinates whose squared distances could overflow
+finite = st.floats(-1e150, 1e150, allow_nan=False)
 WORDS = st.text(alphabet="abcxyz_", min_size=1, max_size=6)
 
 
@@ -47,7 +48,8 @@ def clouds(draw):
 @st.composite
 def malformed_csv(draw):
     """A point-cloud CSV with one defect: a ragged row, a non-numeric cell,
-    a non-integer label, non-integer metadata, or no data rows."""
+    a coordinate too large to square, a non-integer label, non-integer
+    metadata, or no data rows."""
     cloud = draw(clouds())
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "cloud.csv")
@@ -56,12 +58,14 @@ def malformed_csv(draw):
     first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
     row = draw(st.integers(first, len(lines) - 1))
     cells = lines[row].split(",")
-    kinds = ["ragged", "non_numeric", "bad_metadata", "empty"]
+    kinds = ["ragged", "non_numeric", "huge", "bad_metadata", "empty"]
     kind = draw(st.sampled_from(kinds + ["non_integer_label"] * (cloud.labels is not None)))
     if kind == "ragged":
         cells = cells[:-1] if len(cells) > 1 and draw(st.booleans()) else cells + ["0"]
     elif kind == "non_numeric":
         cells[draw(st.integers(0, cloud.dim - 1))] = draw(WORDS)
+    elif kind == "huge":
+        cells[draw(st.integers(0, cloud.dim - 1))] = draw(st.sampled_from(["1e200", "-1e300"]))
     elif kind == "non_integer_label":
         cells[-1] = draw(WORDS | st.floats(0.01, 0.99).map(lambda f: repr(1 + f)))
     elif kind == "bad_metadata":
@@ -147,6 +151,17 @@ class TestCluster:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "bad.csv:" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
+        # well-formed, but squared distances of 1e200 overflow float64
+        data = tmp_path / "huge.csv"
+        data.write_text("x0,x1\n1e200,0\n0,1e200\n1,1\n")
+        rc = run_cli(["cluster", data, "--method", "alg4", "--r", 0.1,
+                      "--k", 2, "--d", 1, "--out", tmp_path / "x.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
     @given(data=st.data())

@@ -188,8 +188,7 @@ class TestAlgorithm2:
         params = ScaleParams(r=0.1, eps=0.3, eta=0.12)
         lab = algorithm2_cov_components(cloud, params)
         index = build_index(cloud)
-        models = batch_local_models(cloud, index, np.arange(cloud.n), params.r, d=1)
-        covs = np.stack([m.covariance for m in models])
+        covs = batch_local_models(cloud, index, np.arange(cloud.n), params.r, d=1).covariance
         removed = set(lab.removed.tolist())
         for i in range(cloud.n):
             nbrs = index.query(cloud.coords[i], params.r)

@@ -181,9 +181,10 @@ class TestBatchLocalModels:
     def test_degenerate_single_point(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 10.0]]))
         models = batch_local_models(cloud, build_index(cloud), np.array([0]), 0.5, d=1)
-        assert models[0].degenerate
-        assert models[0].neighbor_count == 1
-        np.testing.assert_array_equal(models[0].covariance, np.zeros((2, 2)))
+        assert len(models) == 1
+        assert models.degenerate[0]
+        assert models.neighbor_count[0] == 1
+        np.testing.assert_array_equal(models.covariance[0], np.zeros((2, 2)))
 
     @pytest.mark.parametrize("ball", [
         [[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]],
@@ -200,11 +201,22 @@ class TestBatchLocalModels:
         projections = []
         for pts in (coords, coords @ rot.T):
             cloud = PointCloud(pts)
-            (m,) = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, d=2)
-            assert m.degenerate and m.est_dim == 0 and m.neighbor_count == len(ball)
-            projections.append(m.projection)
+            m = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, d=2)
+            assert m.degenerate[0] and m.est_dim[0] == 0 and m.neighbor_count[0] == len(ball)
+            projections.append(m.projection[0])
         np.testing.assert_array_equal(projections[0], projections[1])
         np.testing.assert_array_equal(projections[0], np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("mode", [{"d": 1}, {"eta": 0.1}], ids=["d1", "eta"])
+    def test_duplicate_ball_is_degenerate(self, mode):
+        # the mean of three copies of this point is not exact, so the
+        # covariance holds rounding noise of about 1e-32
+        coords = np.array([[0.1, 0.7, 0.3]] * 3 + [[5.0, 5.0, 5.0]])
+        cloud = PointCloud(coords)
+        m = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, **mode)
+        assert m.neighbor_count[0] == 3
+        assert m.degenerate[0] and m.est_dim[0] == 0
+        np.testing.assert_array_equal(m.projection[0], np.zeros((3, 3)))
 
     def test_batch_equals_per_center(self):
         rng = np.random.default_rng(4)
@@ -212,10 +224,11 @@ class TestBatchLocalModels:
         index = build_index(cloud)
         centers = np.array([3, 77, 140])
         models = batch_local_models(cloud, index, centers, 0.5, d=1)
-        for m, c in zip(models, centers):
+        np.testing.assert_array_equal(models.centers, cloud.coords[centers])
+        for k, c in enumerate(centers):
             cov = local_covariance(cloud, index, cloud.coords[c], 0.5)
-            np.testing.assert_array_equal(m.covariance, cov)
-            np.testing.assert_array_equal(m.projection, estimate_projection(cov, 1))
+            np.testing.assert_array_equal(models.covariance[k], cov)
+            np.testing.assert_array_equal(models.projection[k], estimate_projection(cov, 1))
 
     @pytest.mark.parametrize("shift", [0.0, 1e3])
     def test_batch_matches_two_pass_reference(self, shift):
@@ -226,18 +239,18 @@ class TestBatchLocalModels:
         centers = np.arange(0, 400, 7)
         r, eta = 0.6, 0.1
         models = batch_local_models(cloud, index, centers, r, eta=eta)
-        assert sum(m.degenerate for m in models) < len(models) // 2
-        for m, c in zip(models, centers):
+        assert models.degenerate.sum() < len(models) // 2
+        for k, c in enumerate(centers):
             nbrs = index.query(cloud.coords[c], r)
-            assert m.neighbor_count == nbrs.size
+            assert models.neighbor_count[k] == nbrs.size
             want = empirical_covariance(cloud.coords[nbrs])
             if nbrs.size < 2:
-                assert m.degenerate and m.est_dim == 0
-                np.testing.assert_array_equal(m.covariance, want)
+                assert models.degenerate[k] and models.est_dim[k] == 0
+                np.testing.assert_array_equal(models.covariance[k], want)
                 continue
-            assert np.abs(m.covariance - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(models.covariance[k] - want).max() <= 1e-12 * np.abs(want).max()
             w = np.linalg.eigvalsh(want)
-            assert m.est_dim == int((w > np.sqrt(eta) * w[-1]).sum())
+            assert models.est_dim[k] == int((w > np.sqrt(eta) * w[-1]).sum())
 
     def test_model_invariants(self):
         rng = np.random.default_rng(6)
@@ -245,9 +258,8 @@ class TestBatchLocalModels:
         index = build_index(cloud)
         r = 0.3
         models = batch_local_models(cloud, index, np.arange(0, 500, 11), r, eta=0.2)
-        for m in models:
-            if m.degenerate:
-                continue
-            assert linalg.spectral_norm(m.covariance) <= r**2 + 1e-12
-            assert np.trace(m.projection) == pytest.approx(m.est_dim, abs=1e-9)
-            assert linalg.spectral_norm(m.projection @ m.projection - m.projection) <= 1e-10
+        for k in np.flatnonzero(~models.degenerate):
+            cov, proj = models.covariance[k], models.projection[k]
+            assert linalg.spectral_norm(cov) <= r**2 + 1e-12
+            assert np.trace(proj) == pytest.approx(models.est_dim[k], abs=1e-9)
+            assert linalg.spectral_norm(proj @ proj - proj) <= 1e-10
