@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datasets import DATASET_NAMES, DatasetSpec, cluster_count, generate
+from .datasets import DATASET_NAMES, DatasetSpec, generate, geometry
 from .errors import InvalidInput, MMClusterError
 from .evaluation import (
     RATE_THRESHOLDS,
@@ -225,11 +225,12 @@ def _resolve_threads(value) -> int:
 
 
 def _dataset_spec(args, angle: float | None) -> DatasetSpec:
-    k = cluster_count(args.dataset)
-    per_cluster = max(1, args.n // k)
+    k = geometry(DatasetSpec(args.dataset, 1)).n_clusters
+    if args.n < k:
+        raise InvalidInput(f"--n must be at least {k}, the cluster count of {args.dataset}")
     return DatasetSpec(
         name=args.dataset,
-        n_per_cluster=per_cluster,
+        n_per_cluster=args.n // k,
         tau=args.tau,
         angle=angle,
         seed=args.seed,

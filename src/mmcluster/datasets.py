@@ -1,10 +1,19 @@
 """Seedable synthetic generators for the benchmark geometries.
 
 Each dataset is a union of K surfaces of common intrinsic dimension d.
-Points are sampled uniformly by arclength/area from each surface
-(rejection sampling against the parametrization's speed/Jacobian), then
+Points are sampled uniformly by arclength/area from each surface, then
 jittered by additive noise drawn uniformly from the ball of radius tau.
 Ground-truth labels record the source surface (1-based).
+
+Every curved surface (the arcs of two_curves_angle and three_curves, the
+figure eights, the Mobius strips, the monkey saddle and the paraboloids)
+is one ``_patch_surface``: a parametrization over a box plus its
+speed/area element.  One rejection sampler draws its uniform points, one
+grid-then-L-BFGS-B search gives its distances (the paraboloids search
+their meridian profile instead), and one ``nquad`` over the box gives its
+measure.  The flat shapes (segments, spheres, the square plane patch)
+sample directly and have closed-form distances.  ``geometry(spec)``
+returns the surfaces with the ambient and intrinsic dimension.
 
 Parametrizations (the figures in the literature show shapes only, so the
 exact formulas below are this package's own):
@@ -99,6 +108,8 @@ class Surface:
 
 @dataclass
 class Geometry:
+    """The K surfaces of one dataset; ``geometry(spec)`` builds it."""
+
     ambient_dim: int
     intrinsic_dim: int
     surfaces: list[Surface] = field(default_factory=list)
@@ -109,41 +120,182 @@ class Geometry:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
+# parametrized surfaces
 
-def _rejection_sample_1d(n, rng, t_lo, t_hi, speed, speed_max):
-    """Arclength-uniform parameter draws via rejection on the speed."""
-    out = np.empty(n)
+# grid points per box axis for the coarse search in _param_distance
+_DISTANCE_GRID = {1: 2001, 2: 81}
+
+
+def _rejection_sample(n, rng, box, jac, jac_max):
+    """``n`` parameter draws over ``box``, uniform against the element ``jac``.
+
+    Each round draws every box coordinate in order, then z ~ U[0, 1], and
+    keeps the draws with ``z * jac_max <= jac(*u)``.  Returns one row per
+    box coordinate.
+    """
+    out = np.empty((len(box), n))
     filled = 0
     while filled < n:
         m = max(2 * (n - filled), 64)
-        t = rng.uniform(t_lo, t_hi, size=m)
-        u = rng.uniform(0.0, 1.0, size=m)
-        acc = t[u * speed_max <= speed(t)]
-        take = min(acc.size, n - filled)
-        out[filled:filled + take] = acc[:take]
+        u = np.array([rng.uniform(lo, hi, size=m) for lo, hi in box])
+        z = rng.uniform(0.0, 1.0, size=m)
+        acc = u[:, z * jac_max <= jac(*u)]
+        take = min(acc.shape[1], n - filled)
+        out[:, filled:filled + take] = acc[:, :take]
         filled += take
     return out
 
 
-def _rejection_sample_2d(n, rng, u_rng, v_rng, jac, jac_max):
-    """Area-uniform parameter draws via rejection on the Jacobian norm."""
-    out_u = np.empty(n)
-    out_v = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(2 * (n - filled), 64)
-        u = rng.uniform(u_rng[0], u_rng[1], size=m)
-        v = rng.uniform(v_rng[0], v_rng[1], size=m)
-        z = rng.uniform(0.0, 1.0, size=m)
-        keep = z * jac_max <= jac(u, v)
-        acc_u, acc_v = u[keep], v[keep]
-        take = min(acc_u.size, n - filled)
-        out_u[filled:filled + take] = acc_u[:take]
-        out_v[filled:filled + take] = acc_v[:take]
-        filled += take
-    return out_u, out_v
+def _param_distance(p, point, box, grid):
+    """min over u in ``box`` of ||p - point(*u)||: grid search, then L-BFGS-B."""
+    p = np.asarray(p, float)
+    axes = np.meshgrid(*(np.linspace(lo, hi, grid) for lo, hi in box), indexing="ij")
+    u = np.array([a.ravel() for a in axes])
+    d2 = ((point(*u) - p) ** 2).sum(axis=1)
+    k = int(d2.argmin())
 
+    def f(z):
+        return float(((point(*z[:, None])[0] - p) ** 2).sum())
+
+    res = optimize.minimize(f, x0=u[:, k], method="L-BFGS-B", bounds=box,
+                            options={"ftol": 1e-16, "gtol": 1e-12})
+    return math.sqrt(min(float(res.fun), float(d2[k])))
+
+
+def _patch_surface(point, jac, box, jac_max, distance=None):
+    """The surface ``point(*u)`` for u in ``box``, with area element ``jac``.
+
+    ``jac_max`` bounds ``jac`` over the box.  Without ``distance``, the
+    distance is a numeric search over the box.
+    """
+    def sample(n, rng):
+        return point(*_rejection_sample(n, rng, box, jac, jac_max))
+
+    def measure():
+        # nquad integrates its first argument innermost
+        val, _ = integrate.nquad(
+            lambda *u: float(jac(*(np.array([x]) for x in reversed(u)))[0]), box[::-1])
+        return float(val)
+
+    if distance is None:
+        grid = _DISTANCE_GRID[len(box)]
+
+        def distance(p):
+            return _param_distance(p, point, box, grid)
+
+    return Surface(sample=sample, distance=distance, measure=measure)
+
+
+def _rotated(point, rot):
+    """``point`` followed by the rotation matrix ``rot``; unchanged when None,
+    since even an identity product can turn a -0.0 coordinate into +0.0."""
+    if rot is None:
+        return point
+    return lambda *u: point(*u) @ rot.T
+
+
+def _rotation2(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+_ROTATE_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # pi/2 about x
+
+
+def _quadratic_arc(a2, a1, a0, x_lo, x_hi, rot=None):
+    """y = a2 x^2 + a1 x + a0 over [x_lo, x_hi], then the rotation ``rot``."""
+    def xy(t):
+        return np.column_stack([t, a2 * t * t + a1 * t + a0])
+
+    def speed(t):
+        return np.sqrt(1.0 + (2 * a2 * t + a1) ** 2)
+
+    smax = float(max(speed(np.array([x_lo]))[0], speed(np.array([x_hi]))[0]))
+    return _patch_surface(_rotated(xy, rot), speed, [(x_lo, x_hi)], smax)
+
+
+def _figure_eight(rot=None):
+    def xy(t):
+        return np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
+
+    def speed(t):
+        return np.sqrt(np.cos(t) ** 2 + np.cos(2 * t) ** 2)
+
+    return _patch_surface(_rotated(xy, rot), speed, [(0.0, 2 * math.pi)], math.sqrt(2.0))
+
+
+def _mobius_point(t, w):
+    c1, s1 = np.cos(t), np.sin(t)
+    c2, s2 = np.cos(t / 2), np.sin(t / 2)
+    rho = 1.0 + w * c2
+    return np.column_stack([rho * c1, rho * s1, w * s2])
+
+
+def _mobius_jacobian(t, w):
+    c1, s1 = np.cos(t), np.sin(t)
+    c2, s2 = np.cos(t / 2), np.sin(t / 2)
+    rho = 1.0 + w * c2
+    dt = np.stack([-rho * s1 - 0.5 * w * s2 * c1,
+                   rho * c1 - 0.5 * w * s2 * s1,
+                   0.5 * w * c2], axis=-1)
+    dw = np.stack([c2 * c1, c2 * s1, s2], axis=-1)
+    cross = np.cross(dt, dw)
+    return np.linalg.norm(cross, axis=-1)
+
+
+_MOBIUS_BOX = [(0.0, 2 * math.pi), (-0.3, 0.3)]
+
+
+@lru_cache(maxsize=1)
+def _mobius_jac_max():
+    t = np.linspace(*_MOBIUS_BOX[0], 721)
+    w = np.linspace(*_MOBIUS_BOX[1], 61)
+    tt, ww = np.meshgrid(t, w, indexing="ij")
+    return float(_mobius_jacobian(tt.ravel(), ww.ravel()).max()) * 1.001
+
+
+def _mobius_strip(rot=None):
+    return _patch_surface(_rotated(_mobius_point, rot), _mobius_jacobian,
+                          _MOBIUS_BOX, _mobius_jac_max())
+
+
+def _monkey_saddle():
+    def point(x, y):
+        return np.column_stack([x, y, x**3 - 3 * x * y * y])
+
+    def jac(x, y):
+        fx = 3 * x * x - 3 * y * y
+        fy = -6 * x * y
+        return np.sqrt(1.0 + fx * fx + fy * fy)
+
+    return _patch_surface(point, jac, [(-1.0, 1.0), (-1.0, 1.0)], math.sqrt(37.0))
+
+
+def _paraboloid(sign):
+    """z = sign (x^2 + y^2)/2 over the unit disk, as a patch in (s = rho^2, phi)."""
+    def point(s, phi):
+        rho = np.sqrt(s)
+        xy = np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
+        return np.column_stack([xy, sign * 0.5 * (xy**2).sum(axis=1)])
+
+    def jac(s, phi):
+        rho = np.sqrt(s)
+        return 0.5 * np.sqrt(1.0 + rho * rho)
+
+    def profile(r):
+        return np.column_stack([r, sign * 0.5 * r * r])
+
+    def distance(p):
+        # the nearest surface point lies in the meridian plane of p
+        q = np.array([math.hypot(p[0], p[1]), p[2]])
+        return _param_distance(q, profile, [(0.0, 1.0)], _DISTANCE_GRID[1])
+
+    return _patch_surface(point, jac, [(0.0, 1.0), (0.0, 2 * math.pi)],
+                          0.5 * math.sqrt(2.0), distance=distance)
+
+
+# ---------------------------------------------------------------------------
+# flat surfaces, sampled directly
 
 def _segment_distance(p, a, b):
     p = np.asarray(p, float)
@@ -153,52 +305,6 @@ def _segment_distance(p, a, b):
     t = float(np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0))
     return float(np.linalg.norm(p - (a + t * ab)))
 
-
-def _curve_distance(p, point_of_t, t_lo, t_hi, grid=2001):
-    """min_t ||p - c(t)|| by dense grid search plus bounded polish."""
-    ts = np.linspace(t_lo, t_hi, grid)
-    pts = point_of_t(ts)
-    d2 = ((pts - np.asarray(p, float)) ** 2).sum(axis=1)
-    k = int(d2.argmin())
-    lo = ts[max(0, k - 1)]
-    hi = ts[min(grid - 1, k + 1)]
-
-    def f(t):
-        c = point_of_t(np.array([t]))[0]
-        return float(((c - p) ** 2).sum())
-
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-10})
-    return math.sqrt(min(float(res.fun), float(d2[k])))
-
-
-def _patch_distance(p, point_of_uv, u_rng, v_rng, grid=81):
-    """min over a 2-d parameter patch: coarse grid plus L-BFGS-B polish."""
-    us = np.linspace(u_rng[0], u_rng[1], grid)
-    vs = np.linspace(v_rng[0], v_rng[1], grid)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts = point_of_uv(uu.ravel(), vv.ravel())
-    d2 = ((pts - np.asarray(p, float)) ** 2).sum(axis=1)
-    k = int(d2.argmin())
-    u0, v0 = uu.ravel()[k], vv.ravel()[k]
-
-    def f(z):
-        c = point_of_uv(np.array([z[0]]), np.array([z[1]]))[0]
-        return float(((c - p) ** 2).sum())
-
-    res = optimize.minimize(f, x0=[u0, v0], method="L-BFGS-B",
-                            bounds=[u_rng, v_rng],
-                            options={"ftol": 1e-16, "gtol": 1e-12})
-    return math.sqrt(min(float(res.fun), float(d2[k])))
-
-
-def _rotation2(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-# ---------------------------------------------------------------------------
-# geometry builders
 
 def _segment_surface(a, b):
     a = np.asarray(a, float)
@@ -212,42 +318,6 @@ def _segment_surface(a, b):
     return Surface(sample=sample,
                    distance=lambda p: _segment_distance(p, a, b),
                    measure=lambda: length)
-
-
-def _plane_curve_surface(xy_of_t, speed_of_t, t_lo, t_hi, speed_max, rotate=None):
-    """Curve t -> xy_of_t(t) in the plane, optionally rotated about the origin."""
-    rot = None if rotate is None else _rotation2(rotate)
-
-    def point_of_t(t):
-        pts = xy_of_t(np.asarray(t, float))
-        return pts if rot is None else pts @ rot.T
-
-    def sample(n, rng):
-        t = _rejection_sample_1d(n, rng, t_lo, t_hi, speed_of_t, speed_max)
-        return point_of_t(t)
-
-    def distance(p):
-        return _curve_distance(p, point_of_t, t_lo, t_hi)
-
-    def measure():
-        val, _ = integrate.quad(lambda t: float(speed_of_t(np.array([t]))[0]), t_lo, t_hi)
-        return float(val)
-
-    return Surface(sample=sample, distance=distance, measure=measure)
-
-
-def _quadratic_arc(a2, a1, a0, x_lo, x_hi):
-    """y = a2 x^2 + a1 x + a0 over [x_lo, x_hi], arclength-uniform."""
-    def xy(t):
-        t = np.asarray(t, float)
-        return np.column_stack([t, a2 * t * t + a1 * t + a0])
-
-    def speed(t):
-        t = np.asarray(t, float)
-        return np.sqrt(1.0 + (2 * a2 * t + a1) ** 2)
-
-    smax = float(max(speed(np.array([x_lo]))[0], speed(np.array([x_hi]))[0]))
-    return xy, speed, smax
 
 
 def _sphere_surface(center, radius=1.0):
@@ -265,92 +335,6 @@ def _sphere_surface(center, radius=1.0):
                    measure=lambda: 4.0 * math.pi * radius**2)
 
 
-def _mobius_point(t, w):
-    t = np.asarray(t, float)
-    w = np.asarray(w, float)
-    c1, s1 = np.cos(t), np.sin(t)
-    c2, s2 = np.cos(t / 2), np.sin(t / 2)
-    rho = 1.0 + w * c2
-    return np.column_stack([rho * c1, rho * s1, w * s2])
-
-
-def _mobius_jacobian(t, w):
-    t = np.asarray(t, float)
-    w = np.asarray(w, float)
-    c1, s1 = np.cos(t), np.sin(t)
-    c2, s2 = np.cos(t / 2), np.sin(t / 2)
-    rho = 1.0 + w * c2
-    dt = np.stack([-rho * s1 - 0.5 * w * s2 * c1,
-                   rho * c1 - 0.5 * w * s2 * s1,
-                   0.5 * w * c2], axis=-1)
-    dw = np.stack([c2 * c1, c2 * s1, s2], axis=-1)
-    cross = np.cross(dt, dw)
-    return np.linalg.norm(cross, axis=-1)
-
-
-_MOBIUS_W = 0.3
-
-
-@lru_cache(maxsize=1)
-def _mobius_jac_max():
-    t = np.linspace(0.0, 2 * math.pi, 721)
-    w = np.linspace(-_MOBIUS_W, _MOBIUS_W, 61)
-    tt, ww = np.meshgrid(t, w, indexing="ij")
-    return float(_mobius_jacobian(tt.ravel(), ww.ravel()).max()) * 1.001
-
-
-def _mobius_surface(rotate_x=False):
-    rot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-
-    def point(t, w):
-        pts = _mobius_point(t, w)
-        return pts @ rot.T if rotate_x else pts
-
-    def sample(n, rng):
-        t, w = _rejection_sample_2d(n, rng, (0.0, 2 * math.pi),
-                                    (-_MOBIUS_W, _MOBIUS_W),
-                                    _mobius_jacobian, _mobius_jac_max())
-        return point(t, w)
-
-    def distance(p):
-        return _patch_distance(p, point, (0.0, 2 * math.pi), (-_MOBIUS_W, _MOBIUS_W))
-
-    def measure():
-        val, _ = integrate.dblquad(
-            lambda w, t: float(_mobius_jacobian(np.array([t]), np.array([w]))[0]),
-            0.0, 2 * math.pi, -_MOBIUS_W, _MOBIUS_W)
-        return float(val)
-
-    return Surface(sample=sample, distance=distance, measure=measure)
-
-
-def _monkey_saddle_surface():
-    def point(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        return np.column_stack([x, y, x**3 - 3 * x * y * y])
-
-    def jac(x, y):
-        fx = 3 * x * x - 3 * y * y
-        fy = -6 * x * y
-        return np.sqrt(1.0 + fx * fx + fy * fy)
-
-    jmax = math.sqrt(37.0)
-
-    def sample(n, rng):
-        x, y = _rejection_sample_2d(n, rng, (-1.0, 1.0), (-1.0, 1.0), jac, jmax)
-        return point(x, y)
-
-    def distance(p):
-        return _patch_distance(p, point, (-1.0, 1.0), (-1.0, 1.0))
-
-    def measure():
-        val, _ = integrate.dblquad(lambda y, x: float(jac(x, y)), -1.0, 1.0, -1.0, 1.0)
-        return float(val)
-
-    return Surface(sample=sample, distance=distance, measure=measure)
-
-
 def _square_plane_surface():
     def sample(n, rng):
         xy = rng.uniform(-1.0, 1.0, size=(n, 2))
@@ -365,54 +349,8 @@ def _square_plane_surface():
     return Surface(sample=sample, distance=distance, measure=lambda: 4.0)
 
 
-def _paraboloid_surface(sign):
-    def sample(n, rng):
-        # uniform on the unit disk, then rejection on sqrt(1 + rho^2)
-        out = np.empty((n, 2))
-        filled = 0
-        while filled < n:
-            m = max(2 * (n - filled), 64)
-            rho = np.sqrt(rng.uniform(0.0, 1.0, size=m))
-            phi = rng.uniform(0.0, 2 * math.pi, size=m)
-            z = rng.uniform(0.0, 1.0, size=m)
-            keep = z * math.sqrt(2.0) <= np.sqrt(1.0 + rho * rho)
-            xk = np.column_stack([rho[keep] * np.cos(phi[keep]),
-                                  rho[keep] * np.sin(phi[keep])])
-            take = min(xk.shape[0], n - filled)
-            out[filled:filled + take] = xk[:take]
-            filled += take
-        return np.column_stack([out, sign * 0.5 * (out**2).sum(axis=1)])
-
-    def distance(p):
-        # the nearest surface point lies in the meridian plane of p
-        p = np.asarray(p, float)
-        rho0 = math.hypot(p[0], p[1])
-        z0 = p[2]
-
-        def f(s):
-            return (s - rho0) ** 2 + (sign * 0.5 * s * s - z0) ** 2
-
-        ss = np.linspace(0.0, 1.0, 2001)
-        vals = f(ss)
-        k = int(vals.argmin())
-        lo, hi = ss[max(0, k - 1)], ss[min(2000, k + 1)]
-        res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-12})
-        return math.sqrt(min(float(res.fun), float(vals[k])))
-
-    def measure():
-        val, _ = integrate.quad(lambda r: 2 * math.pi * r * math.sqrt(1 + r * r), 0.0, 1.0)
-        return float(val)
-
-    return Surface(sample=sample, distance=distance, measure=measure)
-
-
-def _figure_eight_speed(t):
-    t = np.asarray(t, float)
-    return np.sqrt(np.cos(t) ** 2 + np.cos(2 * t) ** 2)
-
-
-def _build_geometry(spec: DatasetSpec) -> Geometry:
+def geometry(spec: DatasetSpec) -> Geometry:
+    """The surfaces of ``spec``'s dataset, with its ambient and intrinsic dimension."""
     name = spec.name
     if name == "two_segments":
         theta = spec.effective_angle
@@ -422,49 +360,29 @@ def _build_geometry(spec: DatasetSpec) -> Geometry:
             _segment_surface(-u, u),
         ])
     if name == "two_curves_angle":
-        theta = spec.effective_angle
-        xy, speed, smax = _quadratic_arc(CURVE_BEND, 0.0, 0.0, -1.0, 1.0)
         return Geometry(2, 1, [
-            _plane_curve_surface(xy, speed, -1.0, 1.0, smax),
-            _plane_curve_surface(xy, speed, -1.0, 1.0, smax, rotate=theta),
+            _quadratic_arc(CURVE_BEND, 0.0, 0.0, -1.0, 1.0),
+            _quadratic_arc(CURVE_BEND, 0.0, 0.0, -1.0, 1.0, _rotation2(spec.effective_angle)),
         ])
     if name == "three_curves":
-        arcs = [_quadratic_arc(4.0, -4.0, 1.0, 0.0, 1.0),        # y = 4(x-1/2)^2
-                _quadratic_arc(-4.0, 4.0, 0.0, 0.0, 1.0),        # y = 1-4(x-1/2)^2
-                _quadratic_arc(-0.2, 1.2, 0.0, 0.0, 1.0)]        # y = 1.2x-0.2x^2
         return Geometry(2, 1, [
-            _plane_curve_surface(xy, speed, 0.0, 1.0, smax)
-            for xy, speed, smax in arcs
+            _quadratic_arc(4.0, -4.0, 1.0, 0.0, 1.0),        # y = 4(x-1/2)^2
+            _quadratic_arc(-4.0, 4.0, 0.0, 0.0, 1.0),        # y = 1-4(x-1/2)^2
+            _quadratic_arc(-0.2, 1.2, 0.0, 0.0, 1.0),        # y = 1.2x-0.2x^2
         ])
     if name == "self_intersecting_curves":
-        def xy(t):
-            t = np.asarray(t, float)
-            return np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
-        return Geometry(2, 1, [
-            _plane_curve_surface(xy, _figure_eight_speed, 0.0, 2 * math.pi, math.sqrt(2.0)),
-            _plane_curve_surface(xy, _figure_eight_speed, 0.0, 2 * math.pi, math.sqrt(2.0),
-                                 rotate=math.pi / 2),
-        ])
+        return Geometry(2, 1, [_figure_eight(), _figure_eight(_rotation2(math.pi / 2))])
     if name == "two_spheres":
         return Geometry(3, 2, [
             _sphere_surface([0.0, 0.0, 0.0]),
             _sphere_surface([1.5, 0.0, 0.0]),
         ])
     if name == "mobius_strips":
-        return Geometry(3, 2, [
-            _mobius_surface(rotate_x=False),
-            _mobius_surface(rotate_x=True),
-        ])
+        return Geometry(3, 2, [_mobius_strip(), _mobius_strip(_ROTATE_X)])
     if name == "monkey_saddle":
-        return Geometry(3, 2, [
-            _monkey_saddle_surface(),
-            _square_plane_surface(),
-        ])
+        return Geometry(3, 2, [_monkey_saddle(), _square_plane_surface()])
     if name == "paraboloids":
-        return Geometry(3, 2, [
-            _paraboloid_surface(+1.0),
-            _paraboloid_surface(-1.0),
-        ])
+        return Geometry(3, 2, [_paraboloid(+1.0), _paraboloid(-1.0)])
     raise UnknownDataset(f"unknown dataset {name!r}")
 
 
@@ -482,7 +400,7 @@ def generate(spec: DatasetSpec) -> PointCloud:
     spec.proportional, the total K*n_per_cluster points are split
     proportionally to surface measure (multinomial draw).
     """
-    geom = _build_geometry(spec)
+    geom = geometry(spec)
     rng = np.random.default_rng(spec.seed)
     k = geom.n_clusters
     if spec.proportional:
@@ -508,23 +426,7 @@ def global_radius(cloud: PointCloud) -> float:
 
 def distance_to_surface(point: Array, surface_id: int, spec: DatasetSpec) -> float:
     """Distance from ``point`` to surface ``surface_id`` (1-based) of ``spec``."""
-    geom = _build_geometry(spec)
+    geom = geometry(spec)
     if not 1 <= surface_id <= geom.n_clusters:
         raise InvalidInput(f"surface_id {surface_id} out of range")
     return float(geom.surfaces[surface_id - 1].distance(np.asarray(point, float)))
-
-
-def surface_count(spec: DatasetSpec) -> int:
-    return _build_geometry(spec).n_clusters
-
-
-def cluster_count(name: str) -> int:
-    return _build_geometry(DatasetSpec(name, 1)).n_clusters
-
-
-def intrinsic_dim(spec: DatasetSpec) -> int:
-    return _build_geometry(spec).intrinsic_dim
-
-
-def ambient_dim(spec: DatasetSpec) -> int:
-    return _build_geometry(spec).ambient_dim

@@ -65,7 +65,7 @@ def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
     it, so precision does not depend on the distance from the origin.
     Entries are reduced one (a, b) pair at a time, keeping temporaries
     at O(nnz * D).  Neighborhoods of fewer than 2 points get the zero
-    matrix.
+    matrix.  Raises InvalidInput when a covariance sum overflows.
     """
     counts = np.fromiter(map(len, neighbor_lists), dtype=np.intp,
                          count=len(neighbor_lists))
@@ -77,10 +77,13 @@ def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
     for a in range(dim):
         dev[:, a] -= np.repeat(mean[:, a], counts)
     covs = np.empty((counts.size, dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            covs[:, a, b] = covs[:, b, a] = (
-                np.add.reduceat(dev[:, a] * dev[:, b], starts) / counts)
+    with np.errstate(over="ignore"):  # an overflowed sum is rejected below
+        for a in range(dim):
+            for b in range(a, dim):
+                covs[:, a, b] = covs[:, b, a] = (
+                    np.add.reduceat(dev[:, a] * dev[:, b], starts) / counts)
+    if not np.isfinite(covs).all():
+        raise InvalidInput("coords too large: a neighborhood covariance overflows")
     covs[counts < 2] = 0.0
     return counts, covs
 

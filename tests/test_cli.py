@@ -113,6 +113,17 @@ class TestGenerate:
         assert cloud.n_clusters == reloaded.n_clusters == 2
         assert cloud.intrinsic_dim == reloaded.intrinsic_dim == 2
 
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    @pytest.mark.parametrize("n", [-5, 0, 1])
+    def test_n_below_cluster_count_exit_2(self, tmp_path, capsys, command, n):
+        args = [command, "--dataset", "two_segments", "--n", n, "--out", tmp_path / "x"]
+        if command == "experiment":
+            args += ["--method", "alg4", "--r", 0.1, "--k", 2, "--d", 1, "--trials", 1]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--n" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestCluster:
     def test_single_segment_alg2(self, tmp_path, capsys):
@@ -159,6 +170,18 @@ class TestCluster:
         data.write_text("x0,x1\n1e200,0\n0,1e200\n1,1\n")
         rc = run_cli(["cluster", data, "--method", "alg4", "--r", 0.1,
                       "--k", 2, "--d", 1, "--out", tmp_path / "x.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_overflowing_covariance_exit_2(self, tmp_path, capsys):
+        # inside the squared-distance limit, but the covariance sums overflow
+        data = tmp_path / "huge.csv"
+        corners = 4e153 * np.random.default_rng(0).choice([-1.0, 1.0], size=(60, 2))
+        data.write_text("x0,x1\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in corners))
+        rc = run_cli(["cluster", data, "--method", "alg2", "--r", 1e154, "--eps", 1e154,
+                      "--eta", 0.5, "--out", tmp_path / "x.csv"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ")

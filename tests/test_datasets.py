@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.spatial import cKDTree
 from scipy.stats import kstest
 
 from mmcluster.datasets import (
     DATASET_NAMES,
     DatasetSpec,
-    ambient_dim,
     distance_to_surface,
     generate,
+    geometry,
     global_radius,
-    intrinsic_dim,
-    surface_count,
 )
 from mmcluster.errors import InvalidInput, UnknownDataset
 from mmcluster.neighborhoods import PointCloud
@@ -85,9 +84,10 @@ class TestGenerate:
             spec = DatasetSpec(name, 5, seed=0)
             cloud = generate(spec)
             assert cloud.seed == 0
-            assert cloud.intrinsic_dim == intrinsic_dim(spec)
-            assert cloud.n_clusters == surface_count(spec)
-            assert cloud.dim == ambient_dim(spec)
+            geom = geometry(spec)
+            assert cloud.intrinsic_dim == geom.intrinsic_dim
+            assert cloud.n_clusters == geom.n_clusters
+            assert cloud.dim == geom.ambient_dim
 
     def test_arclength_uniformity_two_segments(self):
         spec = DatasetSpec("two_segments", 10_000, tau=0.0, angle=math.pi / 2, seed=4)
@@ -97,12 +97,36 @@ class TestGenerate:
         stat = kstest(positions, "uniform").statistic
         assert stat < 0.05
 
+    # the next two go through the rejection sampler; 1.63/sqrt(n) is the
+    # 1% critical value of the KS statistic
+    def test_arclength_uniformity_curve(self):
+        n = 10_000
+        cloud = generate(DatasetSpec("two_curves_angle", n, seed=4))
+        t = cloud.coords[cloud.labels == 1, 0]  # c(t) = (t, 0.35 t^2)
+
+        def arclength(t):
+            return integrate.quad(lambda s: math.sqrt(1.0 + 0.49 * s * s), -1.0, t)[0]
+
+        total = arclength(1.0)
+        cdf = np.vectorize(lambda t: arclength(t) / total)
+        assert kstest(t, cdf).statistic < 1.63 / math.sqrt(n)
+
+    def test_area_uniformity_paraboloid(self):
+        n = 10_000
+        cloud = generate(DatasetSpec("paraboloids", n, seed=4))
+        rho = np.hypot(*cloud.coords[cloud.labels == 1, :2].T)
+
+        def cdf(rho):  # area of the part over the disk of radius rho, normalized
+            return ((1.0 + rho**2) ** 1.5 - 1.0) / (2.0**1.5 - 1.0)
+
+        assert kstest(rho, cdf).statistic < 1.63 / math.sqrt(n)
+
     @pytest.mark.parametrize("name", DATASET_NAMES)
     def test_intersection_nonempty(self, name):
-        n = 5000 if ambient_dim(DatasetSpec(name, 1)) == 2 else 2000
+        n = 5000 if geometry(DatasetSpec(name, 1)).ambient_dim == 2 else 2000
         spec = DatasetSpec(name, n, tau=0.0, seed=5)
         cloud = generate(spec)
-        d = intrinsic_dim(spec)
+        d = geometry(spec).intrinsic_dim
         a = cloud.coords[cloud.labels == 1]
         b = cloud.coords[cloud.labels == 2]
         gap = cKDTree(a).query(b, k=1)[0].min()
