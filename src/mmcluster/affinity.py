@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModels
-from .neighborhoods import NeighborhoodIndex, PointCloud, build_index
+from .neighborhoods import NeighborhoodIndex, PointCloud, balls, build_index
 
 Array = np.ndarray
 
@@ -63,8 +63,6 @@ def indicator_pairs(
     n x n storage.
     """
     pairs = index.pairs_within(eps)
-    if pairs.size == 0:
-        return pairs.reshape(0, 2), np.zeros(0, dtype=bool)
     keep = pairwise_diff_norms(stack, pairs, norm) <= threshold
     keep &= ~(degenerate[pairs[:, 0]] | degenerate[pairs[:, 1]])
     return pairs, keep
@@ -207,13 +205,20 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> Array:
 
 
 def auto_epsilon(centers: Array) -> float:
-    """Spatial scale: the largest nearest-neighbor distance among centers."""
+    """Spatial scale: the largest nearest-neighbor distance among centers.
+
+    The tree's second neighbor (the first is the center itself) bounds
+    the candidates, whose exact distances exclude the center itself.
+    """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise TooFewCenters("need at least two centers to select eps")
-    d = np.sqrt(_pairwise_sq_dists(centers))
-    np.fill_diagonal(d, np.inf)
-    return float(d.min(axis=1).max())
+    tree = cKDTree(centers)
+    counts, members = balls(tree, centers, tree.query(centers, k=2)[0][:, 1] * (1 + 1e-9))
+    owner = np.repeat(np.arange(centers.shape[0]), counts)
+    d = np.sqrt(((centers[owner] - centers[members]) ** 2).sum(axis=1))
+    d[owner == members] = np.inf
+    return float(np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
 
 
 def lower_median(values: Array) -> float:
@@ -228,8 +233,7 @@ def auto_eta(models: LocalModels, eps: float) -> float:
     """Projection scale: median of ||Q_i - Q_j|| over center pairs closer
     than eps (strict inequality; spectral norm)."""
     y = models.centers
-    n = len(models)
-    i, j = np.triu_indices(n, k=1)
+    i, j = build_index(PointCloud(y)).pairs_within(eps * (1 + 1e-9)).T
     # compare distances, not squared distances: eps is itself a pairwise
     # distance (eq. for the spatial scale), and the strict < must see the
     # boundary pair exactly

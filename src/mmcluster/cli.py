@@ -164,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dataset_flags(p):
         p.add_argument("--dataset", choices=DATASET_NAMES, required=True)
         p.add_argument("--n", type=int, default=1000,
-                       help="total points, split evenly across clusters")
+                       help="total points, split evenly across clusters and "
+                            "rounded down to a multiple of the cluster count")
         p.add_argument("--tau", type=float, default=0.0, help="noise bound")
         p.add_argument("--angle", type=_parse_angles, default=None,
                        help="intersection angle in radians; 'pi/4' works; "
@@ -344,7 +345,7 @@ def cmd_experiment(args) -> int:
     report = {
         "config": {
             "dataset": args.dataset,
-            "n_per_cluster": args.n,
+            "n_per_cluster": spec.n_per_cluster,
             "tau": args.tau,
             "angles": angles if angles != [None] else None,
             "method": cfg.method,

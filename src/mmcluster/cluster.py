@@ -187,26 +187,19 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
 
     removed_mask = np.zeros(n, dtype=bool)
     pairs_r = index.pairs_within(params.r)
-    if pairs_r.size:
-        gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
-        bad = pairs_r[gaps > params.eta * params.r**2]
-        removed_mask[bad.ravel()] = True
+    gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
+    bad = pairs_r[gaps > params.eta * params.r**2]
+    removed_mask[bad.ravel()] = True
 
     survivors = np.flatnonzero(~removed_mask)
     removed = np.flatnonzero(removed_mask)
     if survivors.size == 0:
         raise AllPointsRemoved("the removal step deleted every point")
 
-    # components of the affinity graph restricted to the survivors
-    local = np.full(n, -1, dtype=int)
-    local[survivors] = np.arange(survivors.size)
-    if edges.size:
-        alive = ~removed_mask[edges].any(axis=1)
-        sub_edges = local[edges[alive]]
-    else:
-        sub_edges = np.empty((0, 2), dtype=int)
-    ids_sub = connected_components(survivors.size, sub_edges)
-    k_found = int(ids_sub.max())
+    # removed points keep no edges; the survivors' components are then
+    # renumbered by smallest survivor
+    ids = connected_components(n, edges[~removed_mask[edges].any(axis=1)])
+    ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
     if removed.size:

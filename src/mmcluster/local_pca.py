@@ -13,13 +13,12 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import linalg
 from .errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
-from .neighborhoods import NeighborhoodIndex, PointCloud
+from .neighborhoods import NeighborhoodIndex, PointCloud, balls
 
 Array = np.ndarray
 
@@ -57,20 +56,18 @@ def empirical_covariance(points: Array) -> Array:
     return linalg.symmetrize(dev.T @ dev / points.shape[0])
 
 
-def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
-    """Neighbor counts (n,) and 1/m covariances (n, D, D) of index lists.
+def _covariances(coords: Array, counts: Array, members: Array) -> Array:
+    """1/m covariances (n, D, D) of flat neighborhoods: ``counts`` (n,)
+    and their ``members``, one neighborhood after another.
 
-    Every list must be nonempty: ``reduceat`` has no empty segment.
+    Every count must be positive: ``reduceat`` has no empty segment.
     Two passes: the mean of each neighborhood, then the deviations from
     it, so precision does not depend on the distance from the origin.
     Entries are reduced one (a, b) pair at a time, keeping temporaries
     at O(nnz * D).  Neighborhoods of fewer than 2 points get the zero
     matrix.  Raises InvalidInput when a covariance sum overflows.
     """
-    counts = np.fromiter(map(len, neighbor_lists), dtype=np.intp,
-                         count=len(neighbor_lists))
-    dev = coords[np.fromiter(chain.from_iterable(neighbor_lists), dtype=np.intp,
-                             count=int(counts.sum()))]
+    dev = coords[members]
     starts = np.cumsum(counts) - counts
     mean = np.add.reduceat(dev, starts, axis=0) / counts[:, None]
     dim = coords.shape[1]
@@ -85,7 +82,7 @@ def _covariances(coords: Array, neighbor_lists) -> tuple[Array, Array]:
     if not np.isfinite(covs).all():
         raise InvalidInput("coords too large: a neighborhood covariance overflows")
     covs[counts < 2] = 0.0
-    return counts, covs
+    return covs
 
 
 def _tangents(covs: Array, d: int | None = None, eta: float | None = None,
@@ -119,7 +116,7 @@ def local_covariance(cloud: PointCloud, index: NeighborhoodIndex, x: Array, r: f
     idx = index.query(np.asarray(x, float), r)
     if idx.size == 0:
         raise EmptyNeighborhood(f"no points within r={r} of {x}")
-    return _covariances(cloud.coords, [idx])[1][0]
+    return _covariances(cloud.coords, np.array([idx.size]), idx)[0]
 
 
 def estimate_projection(c: Array, d: int) -> Array:
@@ -169,9 +166,8 @@ def batch_local_models(
     if centers.size == 0:
         raise InvalidInput("centers must be nonempty")
 
-    neighbor_lists = index.tree.query_ball_point(cloud.coords[centers], r,
-                                                 return_sorted=True)
-    counts, covs = _covariances(cloud.coords, neighbor_lists)
+    counts, members = balls(index.tree, cloud.coords[centers], r)
+    covs = _covariances(cloud.coords, counts, members)
     # a mean that is off by rounding leaves covariance entries of about
     # (D eps_mach max|x|)^2 even for a ball of identical points; no
     # eigenvalue at or below that level counts

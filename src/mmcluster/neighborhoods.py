@@ -1,13 +1,16 @@
-"""Radius neighborhoods, center subsampling, and graph components.
+"""Radius neighborhoods, nearest sites, center subsampling, and graph components.
 
 Every neighborhood is a closed ball: index.query(x, r) returns exactly
 the indices j with ||x - x_j|| <= r.  The KD-tree is an exact
-accelerator, never an approximation.
+accelerator, never an approximation.  It also answers nearest-site and
+close-pair queries: its distances, widened by a relative 1e-9, bound the
+candidates, whose distances are then recomputed exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -17,9 +20,6 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInput, NoSurvivors
 
 Array = np.ndarray
-
-# Bytes of one (rows, sites, D) float64 difference block in nearest_site.
-_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -75,10 +75,7 @@ class NeighborhoodIndex:
 
     def pairs_within(self, r: float) -> Array:
         """All index pairs (i < j) at distance <= r, as an (m, 2) array."""
-        out = self.tree.query_pairs(r, output_type="ndarray")
-        if out.size == 0:
-            return out.reshape(0, 2)
-        return out
+        return self.tree.query_pairs(r, output_type="ndarray").reshape(-1, 2)
 
 
 def build_index(cloud: PointCloud) -> NeighborhoodIndex:
@@ -112,15 +109,11 @@ def connected_components(n_nodes: int, edges: Array) -> Array:
     [0..n_nodes) with the (m, 2) pairs ``edges``, numbered by smallest
     contained node.  Self-loops and repeated pairs change nothing."""
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n_nodes:
-            raise InvalidInput("edge endpoint out of range")
-        data = np.ones(len(edges), dtype=np.int8)
-        adj = sparse.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
-        _, raw = _cc(adj, directed=False)
-    else:
-        raw = np.arange(n_nodes)
-    return renumber_first_occurrence(raw)[0]
+    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
+        raise InvalidInput("edge endpoint out of range")
+    data = np.ones(len(edges), dtype=np.int8)
+    adj = sparse.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
+    return renumber_first_occurrence(_cc(adj, directed=False)[1])[0]
 
 
 def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
@@ -131,19 +124,32 @@ def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
     return rank[inverse], first.size
 
 
+def balls(tree: cKDTree, x: Array, r) -> tuple[Array, Array]:
+    """Closed r-balls of the rows of ``x`` (``r`` scalar or per row), flat:
+    the member count of each ball and all members, ball after ball, each
+    ball in ascending index order."""
+    lists = tree.query_ball_point(x, r, return_sorted=True)
+    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    members = np.fromiter(chain.from_iterable(lists), dtype=np.intp,
+                          count=int(counts.sum()))
+    return counts, members
+
+
 def nearest_site(points: Array, sites: Array) -> Array:
     """Position in ``sites`` of each point's nearest site (ties: first site).
 
-    The squared distances are the per-element sums of a full
-    points x sites x D broadcast, taken over row blocks so that each
-    temporary stays near _BLOCK_BYTES.
+    The tree's nearest distance, widened by a relative 1e-9, bounds the
+    candidates; among them the squared distance (diff * diff).sum() of
+    each point and site decides, and its ties go to the lowest position.
     """
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, sites.size)))
-    nearest = np.empty(points.shape[0], dtype=np.intp)
-    for start in range(0, points.shape[0], rows):
-        diff = points[start:start + rows, None, :] - sites[None, :, :]
-        nearest[start:start + rows] = (diff * diff).sum(axis=2).argmin(axis=1)
-    return nearest
+    tree = cKDTree(sites)
+    counts, members = balls(tree, points, tree.query(points)[0] * (1 + 1e-9))
+    diff = np.repeat(points, counts, axis=0) - sites[members]
+    d2 = (diff * diff).sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    at_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), counts)
+    first = np.minimum.reduceat(np.where(at_min, np.arange(d2.size), d2.size), starts)
+    return members[first]
 
 
 def assign_to_closest_survivor(

@@ -252,6 +252,26 @@ class TestAutoScales:
         vals.sort()
         assert got == vals[(len(vals) - 1) // 2]
 
+    def test_eps_eta_exact_on_lattice(self):
+        # a scaled integer lattice puts many pairs at exactly the nearest
+        # distance and at exactly eps; a few off-lattice centers break the
+        # symmetry
+        rng = np.random.default_rng(12)
+        for scale in (0.1, 0.3, 1.0):
+            y = np.vstack([scale * rng.integers(0, 6, size=(30, 2)),
+                           rng.uniform(0, 6 * scale, size=(3, 2))])
+            q = np.stack([line_proj(rng.uniform(0, math.pi)) for _ in y])
+            n = len(y)
+            dist = [[np.sqrt(((y[i] - y[j]) ** 2).sum()) for j in range(n)] for i in range(n)]
+            eps = max(min(dist[i][j] for j in range(n) if j != i) for i in range(n))
+            assert aff.auto_epsilon(y) == eps
+            for eps_try in (eps, scale, 2 * scale):
+                vals = sorted(linalg.spectral_norm(q[i] - q[j])
+                              for i in range(n) for j in range(i + 1, n)
+                              if dist[i][j] < eps_try)
+                assert aff.auto_eta(model_record(y, projs=q), eps_try) == \
+                    vals[(len(vals) - 1) // 2]
+
 
 class TestInvariances:
     def _segment_models(self, coords, r):

@@ -113,6 +113,13 @@ class TestGenerate:
         assert cloud.n_clusters == reloaded.n_clusters == 2
         assert cloud.intrinsic_dim == reloaded.intrinsic_dim == 2
 
+    def test_n_rounded_down_to_cluster_multiple(self, tmp_path):
+        out = tmp_path / "cloud.csv"
+        assert run_cli(["generate", "--dataset", "three_curves", "--n", 1000,
+                        "--out", out]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 999  # header + 3 x 333 points
+
     @pytest.mark.parametrize("command", ["generate", "experiment"])
     @pytest.mark.parametrize("n", [-5, 0, 1])
     def test_n_below_cluster_count_exit_2(self, tmp_path, capsys, command, n):
@@ -314,6 +321,7 @@ class TestExperiment:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["config"]["trials"] == 4
+        assert report["config"]["n_per_cluster"] == 150
         row = report["rows"][0]
         assert len(row["rates"]) == 4
         assert set(row["count_below"]) == {"5%", "10%", "15%"}
@@ -321,6 +329,13 @@ class TestExperiment:
             assert row["count_below"][key] == sum(r < thr for r in row["rates"])
         table = capsys.readouterr().out
         assert "median" in table and "<5%" in table
+
+    def test_n_per_cluster_recorded(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli(["experiment", "--dataset", "two_segments", "--n", 400,
+                        "--method", "alg4", "--r", 0.1, "--k", 2, "--d", 1,
+                        "--trials", 1, "--out", out]) == 0
+        assert json.loads(out.read_text())["config"]["n_per_cluster"] == 200
 
     def test_angle_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmcluster import neighborhoods
 from mmcluster.errors import InvalidInput, NoSurvivors
 from mmcluster.neighborhoods import (
     PointCloud,
@@ -194,15 +193,19 @@ class TestAssignToClosestSurvivor:
 
 
 class TestNearestSite:
-    def test_blocks_match_full_broadcast(self, monkeypatch):
+    def test_matches_full_broadcast(self):
         rng = np.random.default_rng(6)
         points = rng.normal(size=(101, 3))
-        sites = np.vstack([rng.normal(size=(7, 3)), points[:2]])  # exact hits
-        diff = points[:, None, :] - sites[None, :, :]
-        want = (diff * diff).sum(axis=2).argmin(axis=1)
-        # 8 * 9 * 3 bytes per row: a block of 2 rows, with a short last block
-        monkeypatch.setattr(neighborhoods, "_BLOCK_BYTES", 2 * 8 * sites.size)
-        np.testing.assert_array_equal(nearest_site(points, sites), want)
+        cases = [(points, np.vstack([rng.normal(size=(7, 3)), points[:2]]))]  # exact hits
+        for dim in (1, 2, 3):
+            # shuffled integer lattices: many points have 3 or more
+            # equidistant sites, listed in no particular order
+            sites = rng.permutation(rng.integers(-3, 4, size=(25, dim)).astype(float))
+            cases.append((rng.integers(-8, 9, size=(300, dim)) / 2.0, sites))
+        for points, sites in cases:
+            diff = points[:, None, :] - sites[None, :, :]
+            want = (diff * diff).sum(axis=2).argmin(axis=1)
+            np.testing.assert_array_equal(nearest_site(points, sites), want)
 
     def test_tie_goes_to_first_site(self):
         sites = np.array([[1.0], [-1.0], [1.0]])
