@@ -1,8 +1,19 @@
 """Pairwise affinities between local models, and automatic scale selection.
 
 Matrix discrepancies default to the spectral norm; a Frobenius mode is
-available everywhere through ``norm="frobenius"``.  Indicator affinities
-have zero diagonal; Gaussian-type affinities have unit diagonal.
+available everywhere through ``norm="frobenius"``.  Every affinity is a
+symmetric ``scipy.sparse`` COO matrix that stores only the pairs its kind
+can weight, and no zero entries:
+
+* the indicator kinds (``cov``, ``proj``) store their connected pairs
+  within eps, with zero diagonal;
+* the Gaussian kinds (``distance``, ``gauss``, ``gong``) store the pairs
+  within _CUTOFF = 6.1 spatial scales, with unit diagonal; every pair
+  left out weighs less than exp(-6.1^2) ~ 7e-17;
+* ``wang`` stores the symmetric ell-NN pairs, with unit diagonal.
+
+``cluster.njw_partition`` still turns its input into a dense array for
+its eigensolver.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import linalg
@@ -18,6 +30,9 @@ from .local_pca import LocalModels
 from .neighborhoods import NeighborhoodIndex, PointCloud, balls, build_index
 
 Array = np.ndarray
+
+# Gaussian-type affinities weight only pairs within _CUTOFF scales
+_CUTOFF = 6.1
 
 
 @dataclass
@@ -54,13 +69,9 @@ def indicator_pairs(
     threshold: float,
     norm: str,
 ) -> tuple[Array, Array]:
-    """Sparse form of the indicator affinities: candidate pairs within eps
-    and the mask of pairs whose gap in ``stack`` (n, D, D) stays within
-    ``threshold``.
-
-    Models flagged in ``degenerate`` never connect.  This is the exact
-    edge set of the dense indicator matrices, without materializing
-    n x n storage.
+    """Edges of the indicator affinities: candidate pairs within eps and
+    the mask of pairs whose gap in ``stack`` (n, D, D) stays within
+    ``threshold``.  Models flagged in ``degenerate`` never connect.
     """
     pairs = index.pairs_within(eps)
     keep = pairwise_diff_norms(stack, pairs, norm) <= threshold
@@ -68,95 +79,104 @@ def indicator_pairs(
     return pairs, keep
 
 
-def _dense_indicator(models: LocalModels, stack: Array, eps: float,
-                     threshold: float, norm: str) -> Array:
-    n = len(models)
+def _symmetric(n: int, pairs: Array, vals: Array, diagonal: float) -> sparse.coo_array:
+    """n x n COO matrix with ``vals`` at the (i < j) ``pairs`` and their
+    mirrors, ``diagonal`` on the diagonal; zero values are not stored."""
+    kept = np.flatnonzero(vals)  # no value is negative
+    i, j = pairs[kept].T
+    vals = vals[kept]
+    diag = np.arange(n) if diagonal else np.empty(0, dtype=int)
+    return sparse.coo_array(
+        (np.concatenate([vals, vals, np.full(diag.size, diagonal)]),
+         (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
+        shape=(n, n))
+
+
+def _indicator(models: LocalModels, stack: Array, eps: float, threshold: float,
+               norm: str) -> sparse.coo_array:
     index = build_index(PointCloud(models.centers))
     pairs, keep = indicator_pairs(stack, models.degenerate, index, eps, threshold, norm)
-    w = np.zeros((n, n))
-    i, j = pairs[keep].T
-    w[i, j] = w[j, i] = 1.0
-    return w
+    return _symmetric(len(models), pairs, keep.astype(float), 0.0)
 
 
 def cov_indicator_affinity(models: LocalModels, eps: float, eta: float, r: float,
-                           norm: str = "spectral") -> Array:
+                           norm: str = "spectral") -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||C_i - C_j|| <= eta * r^2.
 
-    Zero diagonal.  Degenerate models are left unconnected.
+    Sparse: only the connected pairs are stored.  Zero diagonal.
+    Degenerate models are left unconnected.
     """
-    return _dense_indicator(models, models.covariance, eps, eta * r * r, norm)
+    return _indicator(models, models.covariance, eps, eta * r * r, norm)
 
 
 def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
-                            norm: str = "spectral") -> Array:
+                            norm: str = "spectral") -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||Q_i - Q_j|| <= eta.
 
-    Models with differing estimated dimension sit at spectral distance 1,
-    so they disconnect whenever eta < 1.
+    Sparse: only the connected pairs are stored.  Zero diagonal.  Models
+    with differing estimated dimension sit at spectral distance 1, so they
+    disconnect whenever eta < 1.
     """
-    return _dense_indicator(models, models.projection, eps, eta, norm)
+    return _indicator(models, models.projection, eps, eta, norm)
 
 
-def _pairwise_sq_dists(y: Array) -> Array:
-    diff = y[:, None, :] - y[None, :, :]
-    return (diff * diff).sum(axis=2)
+def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
+    """Center pairs (i < j) within _CUTOFF * eps and their factors
+    exp(-||y_i - y_j||^2 / eps^2); every pair left out is below
+    exp(-_CUTOFF^2)."""
+    pairs = build_index(PointCloud(y)).pairs_within(_CUTOFF * eps)
+    diff = y[pairs[:, 0]] - y[pairs[:, 1]]
+    return pairs, np.exp(-(diff * diff).sum(axis=1) / eps**2)
 
 
-def _pairwise_proj_dists(projs: Array, norm: str = "spectral") -> Array:
-    n = projs.shape[0]
-    out = np.zeros((n, n))
-    if n > 1:
-        i, j = np.triu_indices(n, k=1)
-        vals = pairwise_diff_norms(projs, np.column_stack([i, j]), norm)
-        out[i, j] = vals
-        out[j, i] = vals
-    return out
-
-
-def gaussian_product_affinity(models: LocalModels, eps: float, eta: float) -> Array:
+def gaussian_product_affinity(models: LocalModels, eps: float,
+                              eta: float) -> sparse.coo_array:
     """W_ij = exp(-||y_i-y_j||^2/eps^2) * exp(-||Q_i-Q_j||^2/eta^2).
 
-    Dense, symmetric, entries in (0, 1], unit diagonal.
+    Sparse, symmetric, unit diagonal: only pairs within _CUTOFF * eps are
+    weighted, the rest are below exp(-_CUTOFF^2) ~ 7e-17 and left out,
+    and so are entries that underflow to 0.
     """
     if eps <= 0 or eta <= 0:
         raise InvalidInput("eps and eta must be positive")
-    w = distance_gaussian_affinity(models.centers, eps)
-    qd = _pairwise_proj_dists(models.projection)
-    w *= np.exp(-(qd * qd) / eta**2)  # the diagonal factor is exp(0) = 1
-    return w
+    pairs, w = _distance_factor(models.centers, eps)
+    qd = pairwise_diff_norms(models.projection, pairs, "spectral")
+    return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2), 1.0)
 
 
-def distance_gaussian_affinity(points: Array, eps: float) -> Array:
-    """Distance-only Gaussian affinity (tangent factor dropped)."""
+def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
+    """Distance-only Gaussian affinity (tangent factor dropped).
+
+    Sparse, symmetric, unit diagonal, cut off at _CUTOFF * eps like the
+    product affinity.
+    """
     if eps <= 0:
         raise InvalidInput("eps must be positive")
-    d2 = _pairwise_sq_dists(np.asarray(points, float))
-    w = np.exp(-d2 / eps**2)
-    np.fill_diagonal(w, 1.0)
-    return w
+    points = np.asarray(points, float)
+    return _symmetric(points.shape[0], *_distance_factor(points, eps), 1.0)
 
 
 def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
-    """Symmetric ell-NN indicator and ell-th neighbor distances (self excluded)."""
+    """Pairs (i < j, ascending) where one is among the other's ell nearest
+    neighbors (self excluded), and the ell-th neighbor distances."""
     n = y.shape[0]
     if ell < 1:
         raise InvalidInput("ell must be >= 1")
     if ell >= n:
         raise InvalidInput("ell must be smaller than the number of points")
-    tree = cKDTree(y)
-    dist, nn = tree.query(y, k=ell + 1)
-    adj = np.zeros((n, n), dtype=bool)
+    dist, nn = cKDTree(y).query(y, k=ell + 1)
     rows = np.repeat(np.arange(n), ell)
-    adj[rows, nn[:, 1:].ravel()] = True
-    adj |= adj.T
-    np.fill_diagonal(adj, False)
-    return adj, dist[:, ell]
+    cols = nn[:, 1:].ravel()
+    off = rows != cols
+    codes = np.unique(np.minimum(rows, cols)[off] * n + np.maximum(rows, cols)[off])
+    return np.column_stack([codes // n, codes % n]), dist[:, ell]
 
 
-def wang_affinity(models: LocalModels, ell: int, alpha: float) -> Array:
+def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_array:
     """Mutual ell-NN indicator times the product of principal-angle cosines
-    raised to alpha.  Requires equal estimated dimensions; unit diagonal.
+    raised to alpha.  Requires equal estimated dimensions.
+
+    Sparse, symmetric, unit diagonal: only the ell-NN pairs are weighted.
     """
     if alpha <= 0:
         raise InvalidInput("alpha must be positive")
@@ -164,44 +184,43 @@ def wang_affinity(models: LocalModels, ell: int, alpha: float) -> Array:
     if dims.size != 1 or dims[0] < 1:
         raise DimensionMismatch(f"estimated dimensions differ: {dims.tolist()}")
     d = int(dims[0])
-    adj, _ = _knn_adjacency(models.centers, ell)
+    pairs, _ = _knn_adjacency(models.centers, ell)
     # any orthonormal basis of each range will do: |det(U_i^T U_j)| does
     # not depend on the choice
     bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
-    n = len(models)
-    w = np.zeros((n, n))
-    i, j = np.nonzero(np.triu(adj, k=1))
-    if i.size:
-        # prod_s cos(theta_s) equals |det(U_i^T U_j)| for the top-d bases
-        grams = np.einsum("pka,pkb->pab", bases[i], bases[j])
-        prods = np.abs(np.linalg.det(grams))
-        w[i, j] = prods**alpha
-        w[j, i] = w[i, j]
-    np.fill_diagonal(w, 1.0)
-    return w
+    # prod_s cos(theta_s) equals |det(U_i^T U_j)| for the top-d bases
+    grams = np.einsum("pka,pkb->pab", bases[pairs[:, 0]], bases[pairs[:, 1]])
+    return _symmetric(len(models), pairs, np.abs(np.linalg.det(grams)) ** alpha, 1.0)
 
 
-def gong_affinity(models: LocalModels, ell: int, eta: float) -> Array:
+def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array:
     """Self-tuned Gaussian times a principal-angle penalty.
 
     eps_i is the distance from point i to its ell-th nearest neighbor.
     For coincident points the angle factor is 1 when the projections
-    agree and 0 otherwise (limit convention).
+    agree and 0 otherwise (limit convention).  Sparse, symmetric, unit
+    diagonal: only pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are
+    weighted, the rest are below exp(-_CUTOFF^2) ~ 7e-17 and left out.
     """
     if eta <= 0:
         raise InvalidInput("eta must be positive")
-    _, eps_i = _knn_adjacency(models.centers, ell)
+    y = models.centers
+    _, eps_i = _knn_adjacency(y, ell)
     if (eps_i == 0).any():
         raise InvalidInput("gong affinity requires distinct points up to the ell-th neighbor")
-    s = _pairwise_sq_dists(models.centers) / np.outer(eps_i, eps_i)
-    qd = np.clip(_pairwise_proj_dists(models.projection), 0.0, 1.0)
+    # s <= _CUTOFF^2 implies d <= _CUTOFF * max eps_i
+    pairs = build_index(PointCloud(y)).pairs_within(_CUTOFF * eps_i.max() * (1 + 1e-9))
+    i, j = pairs.T
+    diff = y[i] - y[j]
+    s = (diff * diff).sum(axis=1) / (eps_i[i] * eps_i[j])
+    near = s <= _CUTOFF**2
+    pairs, s = pairs[near], s[near]
+    qd = np.clip(pairwise_diff_norms(models.projection, pairs, "spectral"), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         angle_term = np.where(s > 0, np.exp(-np.arcsin(qd) ** 2 / (eta**2 * s)), 0.0)
     coincident = (s == 0)
     angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
-    w = np.exp(-s) * angle_term
-    np.fill_diagonal(w, 1.0)
-    return w
+    return _symmetric(len(models), pairs, np.exp(-s) * angle_term, 1.0)
 
 
 def auto_epsilon(centers: Array) -> float:

@@ -280,6 +280,8 @@ def cmd_cluster(args) -> int:
         "eps_used": info["eps"],
         "eta_used": info["eta"],
         "n_centers": info.get("n_centers"),
+        "n_edges": info.get("n_edges"),
+        "n_components": info.get("n_components"),
         "k_found": labeling.K_found,
         "cluster_sizes": info["cluster_sizes"],
         "n_removed": int(labeling.removed.size) if labeling.removed is not None else 0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import affinity as aff
 from . import linalg
@@ -53,7 +54,9 @@ class Labeling:
     before their reassignment, when the pipeline has such a step.  ``info``
     holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
     used (None where it used none), ``cluster_sizes``, and for the
-    center-graph pipelines ``n_centers`` and ``center_indices``.
+    center-graph pipelines ``n_centers``, ``center_indices``, and the edge
+    count (positive off-diagonal pairs) ``n_edges`` and component count
+    ``n_components`` of the center affinity graph.
     """
 
     assignments: Array
@@ -142,8 +145,18 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator,
     return best
 
 
-def njw_partition(w: Array, k: int, rng: np.random.Generator) -> Labeling:
-    """Spectral graph partitioning of a symmetric nonnegative affinity."""
+def _dense(w) -> Array:
+    """Dense copy of a ``scipy.sparse`` matrix; repeated entries add up."""
+    w = w.tocoo()
+    flat = np.ravel_multi_index((w.row, w.col), w.shape)
+    return np.bincount(flat, weights=w.data, minlength=w.shape[0] * w.shape[1]).reshape(w.shape)
+
+
+def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
+    """Spectral graph partitioning of a symmetric nonnegative affinity,
+    dense or ``scipy.sparse``; sparse input is made dense for ``eigh``."""
+    if sparse.issparse(w):
+        w = _dense(w)
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidInput("affinity must be square")
@@ -268,6 +281,7 @@ def algorithm4_local_pca_spectral(
     y = cloud.coords[center_idx]
 
     eps_used = eta_used = None
+    n_edges, n_components = 0, 1
     if n0 == 1:
         center_labels = np.ones(1, dtype=int)
     else:
@@ -292,11 +306,15 @@ def algorithm4_local_pca_spectral(
             w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
         else:
             raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+        # every stored entry is positive, and each pair is stored twice
+        n_edges = int(np.count_nonzero(w.row - w.col)) // 2
+        n_components = int(connected_components(n0, np.column_stack([w.row, w.col])).max())
         center_labels = njw_partition(w, k, rng).assignments
 
     labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])
     info = {"eps": eps_used, "eta": eta_used, "n_centers": int(n0),
-            "center_indices": center_idx, "cluster_sizes": _cluster_sizes(labels, k_found)}
+            "center_indices": center_idx, "n_edges": n_edges, "n_components": n_components,
+            "cluster_sizes": _cluster_sizes(labels, k_found)}
     labeling = Labeling(assignments=labels, K_found=k_found, info=info)
     return (labeling, labeling.info) if return_info else labeling
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _cc
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInput, NoSurvivors
@@ -107,13 +105,27 @@ def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generat
 def connected_components(n_nodes: int, edges: Array) -> Array:
     """1-based component id per node of the undirected graph on
     [0..n_nodes) with the (m, 2) pairs ``edges``, numbered by smallest
-    contained node.  Self-loops and repeated pairs change nothing."""
+    contained node.  Self-loops and repeated pairs change nothing.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then points every node at its root, until no edge joins two
+    trees.  Hooks only go to smaller nodes, so the trees stay acyclic and
+    each root is the smallest node of its tree.
+    """
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise InvalidInput("edge endpoint out of range")
-    data = np.ones(len(edges), dtype=np.int8)
-    adj = sparse.coo_matrix((data, (edges[:, 0], edges[:, 1])), shape=(n_nodes, n_nodes))
-    return renumber_first_occurrence(_cc(adj, directed=False)[1])[0]
+    root = np.arange(n_nodes)
+    i, j = edges.T
+    while True:
+        ri, rj = root[i], root[j]
+        if np.array_equal(ri, rj):
+            return renumber_first_occurrence(root)[0]
+        # an edge within one tree offers its own root, which changes nothing
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, random_projection
 from mmcluster import affinity as aff
 from mmcluster import linalg
 from mmcluster.errors import DimensionMismatch, NoPairsInRange, TooFewCenters
@@ -25,6 +26,13 @@ def model_record(centers, covs=None, projs=None, degenerate=()):
                        projection=projs, est_dim=est, degenerate=flags)
 
 
+def dense(w):
+    """Dense form of a sparse affinity; the sparse form stores no zeros."""
+    assert sparse.issparse(w)
+    assert (w.data > 0).all()
+    return w.toarray()
+
+
 def line_proj(theta):
     v = np.array([math.cos(theta), math.sin(theta)])
     return np.outer(v, v)
@@ -35,7 +43,7 @@ class TestCovIndicator:
         r = 0.3
         c = (r**2 / 3) * np.diag([1.0, 0.0])
         models = model_record([[0.0, 0.0], [0.1, 0.0]], covs=[c, c])
-        w = aff.cov_indicator_affinity(models, eps=0.5, eta=0.1, r=r)
+        w = dense(aff.cov_indicator_affinity(models, eps=0.5, eta=0.1, r=r))
         assert w[0, 0] == 0.0 and w[1, 1] == 0.0
         assert w[0, 1] == 1.0 and w[1, 0] == 1.0
 
@@ -46,7 +54,7 @@ class TestCovIndicator:
         c2 = (r**2 / 3) * np.diag([0.0, 1.0])
         models = model_record([[0.0, 0.0], [0.1, 0.1]], covs=[c1, c2])
         eta = 0.4  # below sqrt(2)/3 of nothing: threshold eta*r^2 < gap
-        w = aff.cov_indicator_affinity(models, eps=1.0, eta=eta, r=r, norm="frobenius")
+        w = dense(aff.cov_indicator_affinity(models, eps=1.0, eta=eta, r=r, norm="frobenius"))
         assert w[0, 1] == 0.0
         gap = linalg.frobenius_norm(c1 - c2)
         assert gap == pytest.approx(math.sqrt(2) * r**2 / 3)
@@ -54,7 +62,7 @@ class TestCovIndicator:
 
     def test_degenerate_disconnected(self):
         models = model_record([[0.0, 0.0], [0.1, 0.0]], degenerate=[0])
-        w = aff.cov_indicator_affinity(models, eps=1.0, eta=10.0, r=1.0)
+        w = dense(aff.cov_indicator_affinity(models, eps=1.0, eta=10.0, r=1.0))
         assert w.sum() == 0.0
 
 
@@ -62,18 +70,18 @@ class TestProjIndicator:
     def test_identical_projections_connect(self):
         p = line_proj(0.0)
         models = model_record([[0.0, 0.0], [0.2, 0.0]], projs=[p, p])
-        w = aff.proj_indicator_affinity(models, eps=0.5, eta=0.3)
+        w = dense(aff.proj_indicator_affinity(models, eps=0.5, eta=0.3))
         assert w[0, 1] == 1.0
 
     def test_dim_mismatch_disconnects(self):
         models = model_record([[0.0, 0.0], [0.2, 0.0]], projs=[line_proj(0.0), np.eye(2)])
-        w = aff.proj_indicator_affinity(models, eps=0.5, eta=0.5)
+        w = dense(aff.proj_indicator_affinity(models, eps=0.5, eta=0.5))
         assert w[0, 1] == 0.0
 
     def test_perpendicular_tangents_disconnect(self):
         models = model_record([[0.0, 0.0], [0.2, 0.0]],
                               projs=[line_proj(0.0), line_proj(math.pi / 2)])
-        w = aff.proj_indicator_affinity(models, eps=0.5, eta=0.9)
+        w = dense(aff.proj_indicator_affinity(models, eps=0.5, eta=0.9))
         assert w[0, 1] == 0.0
 
 
@@ -81,20 +89,20 @@ class TestGaussianProduct:
     def test_coincident_is_one(self):
         p = line_proj(0.3)
         models = model_record([[1.0, 1.0], [1.0, 1.0]], projs=[p, p])
-        w = aff.gaussian_product_affinity(models, eps=0.5, eta=0.5)
+        w = dense(aff.gaussian_product_affinity(models, eps=0.5, eta=0.5))
         np.testing.assert_allclose(w, np.ones((2, 2)))
 
     def test_distance_factor(self):
         p = line_proj(0.0)
         models = model_record([[0.0, 0.0], [0.7, 0.0]], projs=[p, p])
-        w = aff.gaussian_product_affinity(models, eps=0.7, eta=0.5)
+        w = dense(aff.gaussian_product_affinity(models, eps=0.7, eta=0.5))
         assert w[0, 1] == pytest.approx(math.exp(-1.0))
 
     def test_both_factors(self):
         eta = 0.4
         models = model_record([[0.0, 0.0], [0.5, 0.0]],
                               projs=[line_proj(0.0), line_proj(math.pi / 2)])
-        w = aff.gaussian_product_affinity(models, eps=0.5, eta=eta)
+        w = dense(aff.gaussian_product_affinity(models, eps=0.5, eta=eta))
         assert w[0, 1] == pytest.approx(math.exp(-1.0) * math.exp(-1.0 / eta**2))
 
     def test_bounded_unit_diagonal(self):
@@ -102,7 +110,7 @@ class TestGaussianProduct:
         centers, projs = zip(*[(rng.normal(size=2), line_proj(rng.uniform(0, math.pi)))
                                for _ in range(20)])
         models = model_record(centers, projs=projs)
-        w = aff.gaussian_product_affinity(models, eps=1.0, eta=0.5)
+        w = dense(aff.gaussian_product_affinity(models, eps=1.0, eta=0.5))
         assert np.allclose(w, w.T)
         assert (w > 0).all() and (w <= 1.0).all()
         np.testing.assert_allclose(np.diag(w), 1.0)
@@ -112,13 +120,13 @@ class TestWang:
     def test_identical_tangents(self):
         p = line_proj(0.2)
         models = model_record([[0.0, 0.0], [1.0, 0.0]], projs=[p, p])
-        w = aff.wang_affinity(models, ell=1, alpha=2.0)
+        w = dense(aff.wang_affinity(models, ell=1, alpha=2.0))
         assert w[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_tangents(self):
         models = model_record([[0.0, 0.0], [1.0, 0.0]],
                               projs=[line_proj(0.0), line_proj(math.pi / 2)])
-        w = aff.wang_affinity(models, ell=1, alpha=2.0)
+        w = dense(aff.wang_affinity(models, ell=1, alpha=2.0))
         assert w[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_planes_hand_value(self):
@@ -131,7 +139,7 @@ class TestWang:
                        [0.0, math.sin(theta)]])
         models = model_record([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                               projs=[u1 @ u1.T, u2 @ u2.T])
-        w = aff.wang_affinity(models, ell=1, alpha=2.0)
+        w = dense(aff.wang_affinity(models, ell=1, alpha=2.0))
         assert w[0, 1] == pytest.approx(math.cos(theta) ** 2, abs=1e-12)
 
     def test_dimension_mismatch(self):
@@ -142,7 +150,7 @@ class TestWang:
     def test_non_neighbors_zero(self):
         p = line_proj(0.0)
         models = model_record([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0]], projs=[p, p, p])
-        w = aff.wang_affinity(models, ell=1, alpha=1.0)
+        w = dense(aff.wang_affinity(models, ell=1, alpha=1.0))
         assert w[0, 2] == 0.0 and w[0, 1] == 1.0
 
     def test_wang_batched_bases_match_per_model(self):
@@ -153,12 +161,12 @@ class TestWang:
             cloud = PointCloud(rng.uniform(size=(n, ambient)))
             models = batch_local_models(cloud, build_index(cloud), np.arange(n), 0.6, d=d)
             assert not models.degenerate.any()
-            w = aff.wang_affinity(models, ell=ell, alpha=alpha)
-            adj, _ = aff._knn_adjacency(models.centers, ell)
+            w = dense(aff.wang_affinity(models, ell=ell, alpha=alpha))
+            pairs, _ = aff._knn_adjacency(models.centers, ell)
             bases = [linalg.eigh(p).eigenvectors[:, :d] for p in models.projection]
             want = np.eye(n)
-            for i, j in zip(*np.nonzero(adj)):
-                want[i, j] = abs(np.linalg.det(bases[i].T @ bases[j])) ** alpha
+            for i, j in pairs:
+                want[i, j] = want[j, i] = abs(np.linalg.det(bases[i].T @ bases[j])) ** alpha
             np.testing.assert_allclose(w, want, rtol=0, atol=1e-12)
 
 
@@ -169,7 +177,7 @@ class TestGong:
         p = line_proj(0.7)
         models = model_record(pts, projs=[p] * len(pts))
         ell = 2
-        w = aff.gong_affinity(models, ell=ell, eta=0.5)
+        w = dense(aff.gong_affinity(models, ell=ell, eta=0.5))
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         eps_i = np.sort(d, axis=1)[:, ell]
         want = np.exp(-(d**2) / np.outer(eps_i, eps_i))
@@ -180,7 +188,7 @@ class TestGong:
         eta = math.pi / 4
         models = model_record([[0.0, 0.0], [1.0, 0.0]],
                               projs=[line_proj(0.0), line_proj(math.pi / 4)])
-        w = aff.gong_affinity(models, ell=1, eta=eta)
+        w = dense(aff.gong_affinity(models, ell=1, eta=eta))
         # distance^2 equals eps_i*eps_j, projection gap sin(pi/4)
         assert w[0, 1] == pytest.approx(math.exp(-1.0) * math.exp(-1.0), abs=1e-12)
 
@@ -192,6 +200,172 @@ class TestGong:
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         want = np.sort(d, axis=1)[:, ell]
         np.testing.assert_allclose(eps_i, want, atol=1e-12)
+
+
+class TestSparseShape:
+    """Each sparse affinity against a dense oracle of the same formulas
+    over all n x n pairs: every stored entry equals the oracle's, and
+    every entry left out is below exp(-6.1^2) in the oracle."""
+
+    CUTOFF_WEIGHT = math.exp(-6.1**2)
+
+    @staticmethod
+    def oracle_sq_dists(y):
+        diff = y[:, None, :] - y[None, :, :]
+        return (diff * diff).sum(axis=2)
+
+    @staticmethod
+    def oracle_proj_dists(projs):
+        n = projs.shape[0]
+        out = np.zeros((n, n))
+        i, j = np.triu_indices(n, k=1)
+        vals = aff.pairwise_diff_norms(projs, np.column_stack([i, j]), "spectral")
+        out[i, j] = vals
+        out[j, i] = vals
+        return out
+
+    def oracle_distance(self, y, eps):
+        w = np.exp(-self.oracle_sq_dists(y) / eps**2)
+        np.fill_diagonal(w, 1.0)
+        return w
+
+    def oracle_gauss(self, models, eps, eta):
+        w = self.oracle_distance(models.centers, eps)
+        qd = self.oracle_proj_dists(models.projection)
+        w *= np.exp(-(qd * qd) / eta**2)
+        return w
+
+    def oracle_indicator(self, models, stack, eps, threshold):
+        n = len(models)
+        w = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                near = np.sqrt(((models.centers[i] - models.centers[j]) ** 2).sum()) <= eps
+                gap = linalg.spectral_norm(stack[i] - stack[j])
+                flagged = models.degenerate[i] or models.degenerate[j]
+                if i != j and near and gap <= threshold and not flagged:
+                    w[i, j] = 1.0
+        return w
+
+    def oracle_knn(self, y, ell):
+        n = y.shape[0]
+        d = np.sqrt(self.oracle_sq_dists(y))
+        order = np.argsort(d, axis=1, kind="stable")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.repeat(np.arange(n), ell), order[:, 1:ell + 1].ravel()] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        return adj, np.sort(d, axis=1)[:, ell]
+
+    def oracle_wang(self, models, ell, alpha, d):
+        adj, _ = self.oracle_knn(models.centers, ell)
+        bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
+        w = np.eye(len(models))
+        i, j = np.nonzero(np.triu(adj, k=1))
+        grams = np.einsum("pka,pkb->pab", bases[i], bases[j])
+        w[i, j] = w[j, i] = np.abs(np.linalg.det(grams)) ** alpha
+        return w
+
+    def oracle_gong(self, models, ell, eta):
+        _, eps_i = self.oracle_knn(models.centers, ell)
+        s = self.oracle_sq_dists(models.centers) / np.outer(eps_i, eps_i)
+        qd = np.clip(self.oracle_proj_dists(models.projection), 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            angle_term = np.where(s > 0, np.exp(-np.arcsin(qd) ** 2 / (eta**2 * s)), 0.0)
+        coincident = (s == 0)
+        angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
+        w = np.exp(-s) * angle_term
+        np.fill_diagonal(w, 1.0)
+        return w
+
+    @staticmethod
+    def random_models(rng, n, ambient, degenerate=True, rank=None):
+        """Centers in the unit cube with random projections; with
+        ``degenerate``, a few flagged models with zero projection and a
+        few exact repeats of another model's projection."""
+        y = rng.uniform(size=(n, ambient))
+        projs = np.stack([random_projection(rng, ambient, rank or int(rng.integers(1, ambient)))
+                          for _ in range(n)])
+        projs[n // 2:n // 2 + 4] = projs[0]
+        flagged = list(range(n - 3, n)) if degenerate else []
+        projs[flagged] = 0.0
+        return model_record(y, projs=projs, degenerate=flagged)
+
+    def check(self, w, want, exact):
+        got = dense(w)
+        assert w.shape == want.shape
+        stored = got != 0
+        np.testing.assert_array_equal(got, got.T)
+        if exact:
+            np.testing.assert_array_equal(got[stored], want[stored])
+        else:
+            np.testing.assert_allclose(got[stored], want[stored], rtol=1e-14, atol=0)
+        assert (want[~stored] < self.CUTOFF_WEIGHT).all()
+        return stored
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gaussian_kinds_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for ambient in (2, 3):
+            models = self.random_models(rng, 70, ambient)
+            for eps in (0.02, 0.05, 0.3):
+                stored = self.check(aff.distance_gaussian_affinity(models.centers, eps),
+                                    self.oracle_distance(models.centers, eps), exact=True)
+                if eps < 0.1:
+                    assert not stored.all()  # the cutoff drops some pairs
+                # eta at its 1e-12 floor underflows every unequal tangent pair
+                for eta in (0.3, 1e-12):
+                    self.check(aff.gaussian_product_affinity(models, eps, eta),
+                               self.oracle_gauss(models, eps, eta), exact=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_indicator_kinds_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for ambient in (2, 3):
+            models = self.random_models(rng, 50, ambient)
+            models.covariance = 0.01 * models.projection
+            for eps, eta in ((0.2, 0.5), (0.4, 0.9), (1.0, 1e-12)):
+                r = 0.1
+                self.check(aff.cov_indicator_affinity(models, eps, eta, r),
+                           self.oracle_indicator(models, models.covariance, eps, eta * r * r),
+                           exact=True)
+                self.check(aff.proj_indicator_affinity(models, eps, eta),
+                           self.oracle_indicator(models, models.projection, eps, eta),
+                           exact=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wang_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for ambient, d in ((2, 1), (3, 1), (3, 2)):
+            models = self.random_models(rng, 60, ambient, degenerate=False, rank=d)
+            for ell, alpha in ((1, 2.0), (5, 1.0)):
+                self.check(aff.wang_affinity(models, ell, alpha),
+                           self.oracle_wang(models, ell, alpha, d), exact=False)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gong_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for ambient in (2, 3):
+            models = self.random_models(rng, 60, ambient)
+            # coincident centers: one pair with equal projections, one without
+            models.centers[1] = models.centers[0]
+            models.projection[1] = models.projection[0]
+            models.centers[3] = models.centers[2]
+            for ell, eta in ((2, 0.5), (4, 1e-12), (10, 2.0)):
+                want = self.oracle_gong(models, ell, eta)
+                stored = self.check(aff.gong_affinity(models, ell, eta), want, exact=False)
+                assert stored[0, 1] and not stored[2, 3]
+                if ell == 2:
+                    assert not stored.all()  # the cutoff drops some pairs
+
+    def test_knn_pairs_match_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(80, 3))
+        for ell in (1, 3, 6):
+            pairs, radii = aff._knn_adjacency(y, ell)
+            adj, want_radii = self.oracle_knn(y, ell)
+            np.testing.assert_array_equal(pairs, np.column_stack(np.nonzero(np.triu(adj, k=1))))
+            np.testing.assert_allclose(radii, want_radii, rtol=1e-14, atol=0)
 
 
 class TestAutoScales:
@@ -285,16 +459,16 @@ class TestInvariances:
         coords = np.column_stack([t, 0.2 * t**2])
         r, eps, eta = 0.3, 0.6, 0.4
         models = self._segment_models(coords, r)
-        w_gauss = aff.gaussian_product_affinity(models, eps, eta)
-        w_cov = aff.cov_indicator_affinity(models, eps, eta, r)
+        w_gauss = dense(aff.gaussian_product_affinity(models, eps, eta))
+        w_cov = dense(aff.cov_indicator_affinity(models, eps, eta, r))
 
         u = random_orthonormal(rng, 2, 2)
         if np.linalg.det(u) < 0:
             u[:, 1] = -u[:, 1]
         moved = coords @ u.T + np.array([3.0, -7.0])
         models2 = self._segment_models(moved, r)
-        w_gauss2 = aff.gaussian_product_affinity(models2, eps, eta)
-        w_cov2 = aff.cov_indicator_affinity(models2, eps, eta, r)
+        w_gauss2 = dense(aff.gaussian_product_affinity(models2, eps, eta))
+        w_cov2 = dense(aff.cov_indicator_affinity(models2, eps, eta, r))
 
         np.testing.assert_allclose(w_gauss, w_gauss2, atol=1e-9)
         np.testing.assert_array_equal(w_cov, w_cov2)
@@ -305,9 +479,9 @@ class TestInvariances:
         coords = np.column_stack([t, 0.3 * t**2])
         r, eps, eta, s = 0.3, 0.6, 0.4, 2.5
         models = self._segment_models(coords, r)
-        w = aff.cov_indicator_affinity(models, eps, eta, r)
+        w = dense(aff.cov_indicator_affinity(models, eps, eta, r))
         models2 = self._segment_models(coords * s, r * s)
-        w2 = aff.cov_indicator_affinity(models2, eps * s, eta, r * s)
+        w2 = dense(aff.cov_indicator_affinity(models2, eps * s, eta, r * s))
         np.testing.assert_array_equal(w, w2)
 
     def test_affinities_symmetric_finite(self):
@@ -321,5 +495,6 @@ class TestInvariances:
             aff.wang_affinity(models, ell=3, alpha=2.0),
             aff.gong_affinity(models, ell=3, eta=0.5),
         ):
+            w = dense(w)
             assert np.isfinite(w).all()
             np.testing.assert_allclose(w, w.T, atol=1e-15)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from mmcluster import cli
-from mmcluster.affinity import auto_epsilon, auto_eta
+from mmcluster.affinity import auto_epsilon, auto_eta, gaussian_product_affinity
 from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
 
@@ -243,6 +244,10 @@ class TestCluster:
         eta = auto_eta(models, eps)
         assert report["eps_used"] == eps
         assert report["eta_used"] == eta
+        w = gaussian_product_affinity(models, eps, eta).toarray()
+        np.fill_diagonal(w, 0.0)
+        assert report["n_edges"] == np.count_nonzero(w) // 2
+        assert report["n_components"] == csgraph_components(w > 0, directed=False)[0]
 
     def test_algorithm_failure_exit_1(self, tmp_path, capsys):
         data = tmp_path / "seg.csv"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
+from mmcluster import cluster
 from mmcluster.affinity import ScaleParams, pairwise_diff_norms
 from mmcluster.cluster import (
     algorithm2_cov_components,
@@ -17,6 +20,8 @@ from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRo
 from mmcluster.evaluation import misclustering_rate
 from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import PointCloud, build_index
+from mmcluster.seeding import derive_seed
+from test_acceptance import _random_block_affinity
 
 
 def crossing_cloud(seed=0, n=2000, tau=0.0, angle=math.pi / 2):
@@ -141,6 +146,34 @@ class TestNJW:
         w = np.ones((3, 3))
         w[0, 1] = 2.0
         with pytest.raises(InvalidInput):
+            njw_partition(w, 2, np.random.default_rng(0))
+
+    def test_sparse_input_matches_dense(self):
+        # the 200 random block affinities of acceptance criterion 6
+        rng = np.random.default_rng(2718)
+        for case in range(200):
+            k = 2 if case % 4 else 3
+            n = int(rng.integers(6, 13)) if k == 2 else int(rng.integers(6, 9))
+            w = _random_block_affinity(rng, n, k)
+            a = njw_partition(w, k, np.random.default_rng(derive_seed(555, case)))
+            b = njw_partition(sparse.coo_array(w), k, np.random.default_rng(derive_seed(555, case)))
+            np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "negative", "nan", "inf"])
+    def test_sparse_invalid_rejected(self, defect):
+        rows, cols = [0, 1, 0, 1, 2, 2], [0, 1, 1, 0, 2, 1]
+        vals = np.array([1.0, 1.0, 0.5, 0.5, 1.0, 0.2])
+        if defect == "negative":
+            vals[2:4] = -0.5
+        else:
+            vals[2] = {"asymmetric": 0.4, "nan": np.nan, "inf": np.inf}[defect]
+        with pytest.raises(InvalidInput):
+            njw_partition(sparse.coo_array((vals, (rows, cols)), shape=(3, 3)), 2,
+                          np.random.default_rng(0))
+
+    def test_sparse_zero_degree_rejected(self):
+        w = sparse.coo_array(([1.0, 1.0], ([0, 1], [1, 0])), shape=(3, 3))
+        with pytest.raises(IsolatedNode):
             njw_partition(w, 2, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
@@ -289,6 +322,21 @@ class TestAlgorithm4:
         assert info["n_centers"] >= 2
         assert sum(info["cluster_sizes"]) == cloud.n
 
+    @pytest.mark.parametrize("kind", ["gauss", "distance", "proj"])
+    def test_info_counts_affinity_graph(self, kind, monkeypatch):
+        seen = []
+        partition = cluster.njw_partition
+        monkeypatch.setattr(cluster, "njw_partition",
+                            lambda w, k, rng: seen.append(w) or partition(w, k, rng))
+        cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
+        lab = algorithm4_local_pca_spectral(cloud, 0.06, 2, 1, np.random.default_rng(0),
+                                            eta=0.5, affinity_kind=kind)
+        w = seen[0].toarray()
+        off = w > 0
+        np.fill_diagonal(off, False)
+        assert lab.info["n_edges"] == off.sum() // 2 > 0
+        assert lab.info["n_components"] == connected_components(off, directed=False)[0]
+
     def test_info_keys_do_not_depend_on_path(self):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
         one = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))
@@ -296,8 +344,10 @@ class TestAlgorithm4:
         single = algorithm4_local_pca_spectral(one, 5.0, 1, 1, np.random.default_rng(0))
         assert base.info["eps"] > 0 and base.info["eta"] is None
         assert single.info["n_centers"] == 1 and single.info["cluster_sizes"] == [2]
+        assert single.info["n_edges"] == 0 and single.info["n_components"] == 1
         assert set(base.info) == set(single.info) == {
-            "eps", "eta", "n_centers", "center_indices", "cluster_sizes"}
+            "eps", "eta", "n_centers", "center_indices", "n_edges", "n_components",
+            "cluster_sizes"}
 
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments

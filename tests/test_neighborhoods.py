@@ -115,6 +115,32 @@ class TestConnectedComponents:
         want = bfs_components(n, edges)
         np.testing.assert_array_equal(got, want)
 
+    def test_graph_shapes_match_bfs(self):
+        # long paths and combs need many hooking rounds when their labels
+        # are shuffled; a star hooks all leaves onto one root
+        rng = np.random.default_rng(4)
+        n = 2000
+        line = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        side = 40
+        grid = np.arange(side * side).reshape(side, side)
+        grid_edges = np.vstack([np.column_stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()]),
+                                np.column_stack([grid[:-1].ravel(), grid[1:].ravel()])])
+        half = np.arange(n // 2)
+        shapes = [
+            (n, line),
+            (n, np.vstack([line[: n // 2 - 1], line[n // 2:]])),
+            (side * side, grid_edges),
+            (n, np.column_stack([np.full(n - 1, n - 1), np.arange(n - 1)])),
+            (n, np.vstack([line[n // 2:], np.column_stack([half + n // 2, half])])),
+            (n, rng.integers(0, n, size=(n // 2, 2))),
+        ]
+        for size, edges in shapes:
+            for _ in range(3):
+                perm = rng.permutation(size)
+                mapped = np.vstack([perm[edges], perm[edges[:5]]])  # repeated pairs too
+                np.testing.assert_array_equal(connected_components(size, mapped),
+                                              bfs_components(size, mapped))
+
     @given(st.integers(0, 1000))
     def test_relabeling_invariance(self, seed):
         rng = np.random.default_rng(seed)
