@@ -33,6 +33,9 @@ Array = np.ndarray
 
 # Gaussian-type affinities weight only pairs within _CUTOFF scales
 _CUTOFF = 6.1
+# pairs per block of the gap kernel: its buffers stay in cache, and no
+# temporary grows with the number of pairs
+_GAP_BLOCK = 1 << 15
 
 
 @dataclass
@@ -53,12 +56,23 @@ class ScaleParams:
 
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
-    diffs = stack[pairs[:, 0]] - stack[pairs[:, 1]]
-    if norm == "spectral":
-        return linalg.spectral_norms(diffs)
-    if norm == "frobenius":
-        return np.sqrt((diffs * diffs).sum(axis=(-2, -1)))
-    raise InvalidInput(f"unknown norm mode {norm!r}")
+    """Norms of stack[i] - stack[j] over the (m, 2) ``pairs`` (i, j) of a
+    stack (n, D, D), a block of _GAP_BLOCK pairs at a time."""
+    if norm not in ("spectral", "frobenius"):
+        raise InvalidInput(f"unknown norm mode {norm!r}")
+    flat = stack.reshape(stack.shape[0], -1)
+    out = np.empty(len(pairs))
+    for start in range(0, len(pairs), _GAP_BLOCK):
+        block = pairs[start:start + _GAP_BLOCK]
+        diffs = np.take(flat, block[:, 0], axis=0)
+        diffs -= np.take(flat, block[:, 1], axis=0)
+        gaps = out[start:start + _GAP_BLOCK]
+        if norm == "spectral":
+            gaps[:] = linalg.spectral_norms(diffs.reshape((-1,) + stack.shape[1:]))
+        else:
+            np.square(diffs, out=diffs)
+            np.sqrt(diffs.sum(axis=1), out=gaps)
+    return out
 
 
 def indicator_pairs(
@@ -74,8 +88,11 @@ def indicator_pairs(
     ``threshold``.  Models flagged in ``degenerate`` never connect.
     """
     pairs = index.pairs_within(eps)
-    keep = pairwise_diff_norms(stack, pairs, norm) <= threshold
-    keep &= ~(degenerate[pairs[:, 0]] | degenerate[pairs[:, 1]])
+    # gaps only between live models; with none degenerate, all pairs are live
+    live = (~(degenerate[pairs[:, 0]] | degenerate[pairs[:, 1]]) if degenerate.any()
+            else slice(None))
+    keep = np.zeros(len(pairs), dtype=bool)
+    keep[live] = pairwise_diff_norms(stack, pairs[live], norm) <= threshold
     return pairs, keep
 
 

@@ -193,13 +193,13 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     """
     index = build_index(cloud)
     n = cloud.n
-    models = batch_local_models(cloud, index, np.arange(n), params.r, d=1)
+    pairs_r = index.pairs_within(params.r)
+    models = batch_local_models(cloud, index, None, params.r, d=1, r_pairs=pairs_r)
     pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate, index,
                                       params.eps, params.eta * params.r**2, norm)
     edges = pairs[keep]
 
     removed_mask = np.zeros(n, dtype=bool)
-    pairs_r = index.pairs_within(params.r)
     gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
     bad = pairs_r[gaps > params.eta * params.r**2]
     removed_mask[bad.ravel()] = True
@@ -211,7 +211,8 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
 
     # removed points keep no edges; the survivors' components are then
     # renumbered by smallest survivor
-    ids = connected_components(n, edges[~removed_mask[edges].any(axis=1)])
+    ids = connected_components(
+        n, edges[~(removed_mask[edges[:, 0]] | removed_mask[edges[:, 1]])])
     ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
@@ -228,7 +229,7 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
     index = build_index(cloud)
-    models = batch_local_models(cloud, index, np.arange(cloud.n), params.r, eta=params.eta)
+    models = batch_local_models(cloud, index, None, params.r, eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
                                       params.eps, params.eta, norm)
     ids = connected_components(cloud.n, pairs[keep])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
-from .neighborhoods import NeighborhoodIndex, PointCloud, balls
+from .neighborhoods import NeighborhoodIndex, PointCloud, balls, pair_balls
 
 Array = np.ndarray
 
@@ -144,13 +144,17 @@ def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
 def batch_local_models(
     cloud: PointCloud,
     index: NeighborhoodIndex,
-    centers: Array,
+    centers: Array | None,
     r: float,
     d: int | None = None,
     eta: float | None = None,
+    r_pairs: Array | None = None,
 ) -> LocalModels:
     """Local PCA of the closed r-ball around each center index, in center order.
 
+    ``centers=None`` fits every point, in index order, and assembles the
+    balls from the pairs of ``index`` within ``r``: ``r_pairs`` when the
+    caller has them (``index.pairs_within(r)``), else one query here.
     Exactly one of ``d`` (fixed tangent dimension) and ``eta``
     (threshold scale for dimension estimation) must be given.
     """
@@ -162,11 +166,18 @@ def batch_local_models(
         raise InvalidInput("eta must lie in (0, 1)")
     if not r > 0:
         raise InvalidInput("radius must be positive")
-    centers = np.asarray(centers, dtype=int)
-    if centers.size == 0:
-        raise InvalidInput("centers must be nonempty")
-
-    counts, members = balls(index.tree, cloud.coords[centers], r)
+    if centers is None:
+        y = cloud.coords
+        counts, members = pair_balls(
+            cloud.n, index.pairs_within(r) if r_pairs is None else r_pairs)
+    else:
+        if r_pairs is not None:
+            raise InvalidInput("r_pairs serve only centers=None")
+        centers = np.asarray(centers, dtype=int)
+        if centers.size == 0:
+            raise InvalidInput("centers must be nonempty")
+        y = cloud.coords[centers]
+        counts, members = balls(index.tree, y, r)
     covs = _covariances(cloud.coords, counts, members)
     # a mean that is off by rounding leaves covariance entries of about
     # (D eps_mach max|x|)^2 even for a ball of identical points; no
@@ -185,6 +196,6 @@ def batch_local_models(
     degenerate |= counts < 2
     proj[degenerate] = 0.0
     est_dim[degenerate] = 0
-    return LocalModels(centers=cloud.coords[centers], neighbor_count=counts,
+    return LocalModels(centers=y, neighbor_count=counts,
                        covariance=covs, projection=proj, est_dim=est_dim,
                        degenerate=degenerate)

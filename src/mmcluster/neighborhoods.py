@@ -147,6 +147,17 @@ def balls(tree: cKDTree, x: Array, r) -> tuple[Array, Array]:
     return counts, members
 
 
+def pair_balls(n: int, pairs: Array) -> tuple[Array, Array]:
+    """The closed r-balls of all n points, flat as in ``balls``, from
+    ``pairs``, the (m, 2) pairs (i < j) within r: each ball holds its
+    point and the other end of each of its pairs, in ascending order."""
+    i, j = pairs.T
+    owner = np.concatenate([np.arange(n), i, j])
+    member = np.concatenate([np.arange(n), j, i])
+    # sorting owner * n + member orders each ball's members within it
+    return np.bincount(owner, minlength=n), np.sort(owner * n + member) % n
+
+
 def nearest_site(points: Array, sites: Array) -> Array:
     """Position in ``sites`` of each point's nearest site (ties: first site).
 

@@ -202,6 +202,50 @@ class TestGong:
         np.testing.assert_allclose(eps_i, want, atol=1e-12)
 
 
+class TestPairGaps:
+    """The pair-gap kernel and the indicator edges against the plain
+    formulas over stack[i] - stack[j]."""
+
+    @staticmethod
+    def reference_norms(stack, pairs, norm):
+        diffs = stack[pairs[:, 0]] - stack[pairs[:, 1]]
+        if norm == "spectral":
+            return linalg.spectral_norms(diffs)
+        return np.sqrt((diffs * diffs).sum(axis=(-2, -1)))
+
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gaps_bit_equal_to_reference(self, norm, dim):
+        rng = np.random.default_rng(dim)
+        n = 300
+        stack = np.stack([random_projection(rng, dim, 1) for _ in range(n)])
+        stack[::7] *= rng.uniform(1e-3, 1e3, size=(len(stack[::7]), 1, 1))
+        # more pairs than one block of the kernel, in no particular order
+        i, j = np.triu_indices(n, k=1)
+        pairs = np.column_stack([i, j])[rng.permutation(i.size)]
+        assert len(pairs) > aff._GAP_BLOCK
+        np.testing.assert_array_equal(aff.pairwise_diff_norms(stack, pairs, norm),
+                                      self.reference_norms(stack, pairs, norm))
+        assert aff.pairwise_diff_norms(stack, pairs[:0], norm).shape == (0,)
+
+    @pytest.mark.parametrize("flagged", [0, 1, 30])
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_indicator_pairs_match_reference(self, flagged, norm):
+        rng = np.random.default_rng(flagged)
+        models = TestSparseShape.random_models(rng, 200, 3, degenerate=False)
+        models.degenerate[rng.permutation(200)[:flagged]] = True
+        index = build_index(PointCloud(models.centers))
+        eps, threshold = 0.3, 0.8
+        pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
+                                          eps, threshold, norm)
+        want_pairs = index.pairs_within(eps)
+        want_keep = self.reference_norms(models.projection, want_pairs, norm) <= threshold
+        want_keep &= ~models.degenerate[want_pairs].any(axis=1)
+        np.testing.assert_array_equal(pairs, want_pairs)
+        np.testing.assert_array_equal(keep, want_keep)
+        assert 0 < keep.sum() < keep.size
+
+
 class TestSparseShape:
     """Each sparse affinity against a dense oracle of the same formulas
     over all n x n pairs: every stored entry equals the oracle's, and

@@ -230,6 +230,36 @@ class TestBatchLocalModels:
             np.testing.assert_array_equal(models.covariance[k], cov)
             np.testing.assert_array_equal(models.projection[k], estimate_projection(cov, 1))
 
+    @pytest.mark.parametrize("mode", [{"d": 1}, {"d": 2}, {"eta": 0.1}],
+                             ids=["d1", "d2", "eta"])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+    def test_every_point_from_pairs_equals_ball_queries(self, mode, kind):
+        rng = np.random.default_rng(8)
+        if kind == "random":
+            coords, r = rng.normal(size=(300, 3)), 0.5
+        elif kind == "lattice":
+            grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), axis=-1).reshape(-1, 3)
+            coords, r = rng.permutation(grid), 1.0
+        else:
+            coords, r = np.repeat(rng.uniform(size=(40, 3)), 2, axis=0), 0.3
+        cloud = PointCloud(coords)
+        index = build_index(cloud)
+        want = batch_local_models(cloud, index, np.arange(cloud.n), r, **mode)
+        for r_pairs in (None, index.pairs_within(r)):
+            got = batch_local_models(cloud, index, None, r, **mode, r_pairs=r_pairs)
+            for field in ("centers", "neighbor_count", "covariance", "projection",
+                          "est_dim", "degenerate"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        if kind == "duplicates":
+            assert want.degenerate.any()
+
+    def test_r_pairs_only_for_every_point(self):
+        cloud = segment_cloud(50, [1.0, 0.0])
+        index = build_index(cloud)
+        with pytest.raises(InvalidInput):
+            batch_local_models(cloud, index, np.arange(5), 0.2, d=1,
+                               r_pairs=index.pairs_within(0.2))
+
     @pytest.mark.parametrize("shift", [0.0, 1e3])
     def test_batch_matches_two_pass_reference(self, shift):
         # a one-pass second moment would lose about 1e-10 at a shift of 1e3

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +9,11 @@ from mmcluster.errors import InvalidInput, NoSurvivors
 from mmcluster.neighborhoods import (
     PointCloud,
     assign_to_closest_survivor,
+    balls,
     build_index,
     connected_components,
     nearest_site,
+    pair_balls,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -40,6 +44,37 @@ class TestRadiusQuery:
             x = rng.uniform(-1, 1, size=3)
             r = float(rng.uniform(0.05, 0.8))
             assert set(idx.query(x, r)) == brute_force_ball(coords, x, r)
+
+
+def shuffled_lattice(rng, side, dim, spacing):
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * dim), axis=-1).reshape(-1, dim)
+    return rng.permutation(grid) * spacing
+
+
+BALL_CLOUDS = {
+    "random_1d": lambda rng: (rng.uniform(size=(300, 1)), 0.01),
+    "random_2d": lambda rng: (rng.uniform(size=(400, 2)), 0.08),
+    "random_3d": lambda rng: (rng.normal(size=(400, 3)), 0.4),
+    # r equal to the spacing puts many pairs at exactly r
+    "lattice_2d": lambda rng: (shuffled_lattice(rng, 15, 2, 1.0), 1.0),
+    "lattice_3d": lambda rng: (shuffled_lattice(rng, 7, 3, 1.0), 1.0),
+    "lattice_3d_diagonal": lambda rng: (shuffled_lattice(rng, 7, 3, 1.0), math.sqrt(2.0)),
+    "lattice_2d_tenths": lambda rng: (shuffled_lattice(rng, 15, 2, 0.1), 0.1),
+    "duplicates": lambda rng: (np.repeat(rng.uniform(size=(60, 2)), 3, axis=0), 0.1),
+    "singletons": lambda rng: (np.arange(50.0)[:, None] * np.array([[1.0, 2.0]]), 0.5),
+    "one_point": lambda rng: (np.array([[0.3, -1.2]]), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_CLOUDS))
+def test_pair_balls_equal_ball_queries(name):
+    coords, r = BALL_CLOUDS[name](np.random.default_rng(3))
+    index = build_index(PointCloud(coords))
+    counts, members = pair_balls(len(coords), index.pairs_within(r))
+    want_counts, want_members = balls(index.tree, coords, r)
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(members, want_members)
+    assert counts.dtype == want_counts.dtype and members.dtype == want_members.dtype
 
 
 class TestSubsampleCenters:
