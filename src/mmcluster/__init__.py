@@ -23,8 +23,6 @@ from .cluster import (
 from .datasets import DatasetSpec, distance_to_surface, generate, global_radius
 from .evaluation import MethodConfig, TrialStats, angle_sweep, misclustering_rate, run_trials
 from .linalg import (
-    EigenDecomposition,
-    eigh,
     frobenius_norm,
     principal_angles,
     spectral_norm,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DatasetSpec",
-    "EigenDecomposition",
     "KMeansResult",
     "Labeling",
     "LocalModels",
@@ -72,7 +69,6 @@ __all__ = [
     "cov_indicator_affinity",
     "derive_seed",
     "distance_to_surface",
-    "eigh",
     "estimate_dim_thresholded",
     "estimate_projection",
     "frobenius_norm",

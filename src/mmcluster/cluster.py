@@ -24,7 +24,6 @@ import numpy as np
 from scipy import sparse
 
 from . import affinity as aff
-from . import linalg
 from .errors import (
     AllPointsRemoved,
     InvalidInput,
@@ -44,6 +43,12 @@ from .neighborhoods import (
 )
 
 Array = np.ndarray
+
+# Lloyd iterations per seeding, the centroid motion that ends them, and
+# the number of k-means++ seedings of which the lowest inertia is kept.
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-8
+_KMEANS_RESTARTS = 10
 
 
 @dataclass
@@ -80,8 +85,7 @@ class KMeansResult:
     inertia: float
 
 
-def _kmeans_once(rows: Array, k: int, rng: np.random.Generator,
-                 max_iter: int, tol: float) -> KMeansResult:
+def _kmeans_once(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     m = rows.shape[0]
     first = int(rng.integers(m))
     cents = [rows[first].copy()]
@@ -100,7 +104,7 @@ def _kmeans_once(rows: Array, k: int, rng: np.random.Generator,
         d2 = np.minimum(d2, ((rows - rows[idx]) ** 2).sum(axis=1))
     cents = np.stack(cents)
 
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         assign = dists.argmin(axis=1)
         counts = np.bincount(assign, minlength=k)
@@ -114,7 +118,7 @@ def _kmeans_once(rows: Array, k: int, rng: np.random.Generator,
         new_cents = np.stack([rows[assign == kk].mean(axis=0) for kk in range(k)])
         motion = np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max()
         cents = new_cents
-        if motion < tol:
+        if motion < _KMEANS_TOL:
             break
 
     dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
@@ -123,12 +127,11 @@ def _kmeans_once(rows: Array, k: int, rng: np.random.Generator,
     return KMeansResult(centroids=cents, assignments=assign, inertia=inertia)
 
 
-def kmeans_pp(rows: Array, k: int, rng: np.random.Generator,
-              max_iter: int = 100, tol: float = 1e-8, restarts: int = 10) -> KMeansResult:
+def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     """K-means with k-means++ seeding and empty-cluster repair.
 
-    Runs ``restarts`` independent seedings and keeps the lowest inertia.
-    Deterministic for a given generator state.
+    Runs ``_KMEANS_RESTARTS`` independent seedings and keeps the lowest
+    inertia.  Deterministic for a given generator state.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -138,8 +141,8 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator,
     if rows.shape[0] < k:
         raise TooFewRows(f"{rows.shape[0]} rows cannot form {k} clusters")
     best: KMeansResult | None = None
-    for _ in range(max(1, restarts)):
-        res = _kmeans_once(rows, k, rng, max_iter, tol)
+    for _ in range(_KMEANS_RESTARTS):
+        res = _kmeans_once(rows, k, rng)
         if best is None or res.inertia < best.inertia:
             best = res
     return best
@@ -154,25 +157,33 @@ def _dense(w) -> Array:
 
 def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     """Spectral graph partitioning of a symmetric nonnegative affinity,
-    dense or ``scipy.sparse``; sparse input is made dense for ``eigh``."""
-    if sparse.issparse(w):
-        w = _dense(w)
-    w = np.asarray(w, dtype=float)
+    dense or ``scipy.sparse``.  The input is copied once into a dense
+    array, which is scaled in place and handed to ``eigh``.
+
+    The eigenvectors keep the signs LAPACK gives them: k-means sees a
+    column only through squared differences and means, and negating the
+    column leaves every distance, draw and assignment exactly as it was.
+    """
+    w = _dense(w) if sparse.issparse(w) else np.array(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidInput("affinity must be square")
     if not np.all(np.isfinite(w)) or (w < 0).any():
         raise InvalidInput("affinity must be finite and nonnegative")
-    if not np.allclose(w, w.T, atol=1e-12, rtol=0):
+    # each n x n temporary is freed before the next one is made
+    gap = w - w.T
+    if (np.abs(gap, out=gap) > 1e-12).any():
         raise InvalidInput("affinity must be symmetric")
+    del gap
     n = w.shape[0]
     if not 1 <= k <= n:
         raise InvalidInput(f"k={k} out of range for {n} nodes")
     degrees = w.sum(axis=1)
     if (degrees <= 0).any():
         raise IsolatedNode("affinity has a zero-degree node")
-    z = w / np.sqrt(np.outer(degrees, degrees))
-    e = linalg.eigh(z)
-    rows = e.eigenvectors[:, :k].copy()
+    scale = np.outer(degrees, degrees)
+    w /= np.sqrt(scale, out=scale)
+    del scale
+    rows = np.linalg.eigh(w)[1][:, :-k-1:-1]
     norms = np.sqrt((rows * rows).sum(axis=1))
     ok = norms > 0
     rows[ok] /= norms[ok, None]

@@ -1,29 +1,13 @@
-"""Dense symmetric linear algebra primitives.
-
-Conventions: eigenvalues are sorted in descending order, eigenvectors are
-column-aligned with them, and every eigenvector is flipped so that its
-first nonzero component is positive.  This makes all downstream results
-reproducible for a given input matrix.
-"""
+"""Dense symmetric linear algebra primitives: norms of symmetric matrices
+and principal angles between the ranges of orthogonal projections."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
 
 Array = np.ndarray
-
-# Eigenvector components below this are treated as zero by the sign rule.
-_SIGN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    eigenvalues: Array   # (D,), nonincreasing
-    eigenvectors: Array  # (D, D), columns aligned with eigenvalues
 
 
 def symmetrize(m: Array) -> Array:
@@ -39,22 +23,6 @@ def _check_finite(m: Array) -> Array:
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix has non-finite entries")
     return m
-
-
-def eigh(m: Array) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, descending, sign-fixed."""
-    m = _check_finite(m)
-    vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.abs(col) > _SIGN_TOL
-        if not nz.any():
-            continue
-        if col[np.argmax(nz)] < 0:
-            vecs[:, k] = -col
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def spectral_norms(ms: Array) -> Array:
@@ -97,9 +65,7 @@ def projection_rank(m: Array) -> int:
 
 def _orthonormal_range(p: Array) -> Array:
     """Orthonormal basis (columns) of the range of a projection matrix."""
-    e = eigh(p)
-    rank = projection_rank(p)
-    return e.eigenvectors[:, :rank]
+    return np.linalg.eigh(p)[1][:, p.shape[0] - projection_rank(p):]
 
 
 def principal_angles(p: Array, q: Array) -> Array:

@@ -154,7 +154,7 @@ class TestWang:
         assert w[0, 2] == 0.0 and w[0, 1] == 1.0
 
     def test_wang_batched_bases_match_per_model(self):
-        # oracle: top-d bases from one sign-fixed eigh per model
+        # oracle: top-d bases from one eigh per model; |det| ignores their signs
         rng = np.random.default_rng(8)
         ell, alpha, n = 4, 2.0, 80
         for ambient, d in ((2, 1), (3, 1), (3, 2)):
@@ -163,7 +163,7 @@ class TestWang:
             assert not models.degenerate.any()
             w = dense(aff.wang_affinity(models, ell=ell, alpha=alpha))
             pairs, _ = aff._knn_adjacency(models.centers, ell)
-            bases = [linalg.eigh(p).eigenvectors[:, :d] for p in models.projection]
+            bases = [np.linalg.eigh(p)[1][:, -d:] for p in models.projection]
             want = np.eye(n)
             for i, j in pairs:
                 want[i, j] = want[j, i] = abs(np.linalg.det(bases[i].T @ bases[j])) ** alpha

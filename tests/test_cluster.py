@@ -35,6 +35,17 @@ def single_segment_cloud(n=800):
                       labels=np.ones(n, dtype=int))
 
 
+def criterion6_affinities():
+    """(w, k, seed) of the 200 random block affinities of acceptance criterion 6."""
+    rng = np.random.default_rng(2718)
+    cases = []
+    for case in range(200):
+        k = 2 if case % 4 else 3
+        n = int(rng.integers(6, 13)) if k == 2 else int(rng.integers(6, 9))
+        cases.append((_random_block_affinity(rng, n, k), k, derive_seed(555, case)))
+    return cases
+
+
 class TestKMeans:
     def test_k_equals_m(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -101,6 +112,18 @@ class TestKMeans:
         np.testing.assert_array_equal(res.assignments, d.argmin(axis=1))
         assert res.inertia == pytest.approx(d.min(axis=1).sum())
 
+    def test_column_signs_ignored(self):
+        # squared differences and means negate exactly with a column, so
+        # the seeding draws and every assignment are the same
+        rng = np.random.default_rng(12)
+        for case in range(50):
+            k = int(rng.integers(2, 5))
+            rows = rng.normal(size=(int(rng.integers(k, 60)), k))
+            signs = rng.choice([-1.0, 1.0], size=k)
+            a = kmeans_pp(rows, k, np.random.default_rng(case))
+            b = kmeans_pp(rows * signs, k, np.random.default_rng(case))
+            np.testing.assert_array_equal(a.assignments, b.assignments)
+
 
 class TestNJW:
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -149,14 +172,9 @@ class TestNJW:
             njw_partition(w, 2, np.random.default_rng(0))
 
     def test_sparse_input_matches_dense(self):
-        # the 200 random block affinities of acceptance criterion 6
-        rng = np.random.default_rng(2718)
-        for case in range(200):
-            k = 2 if case % 4 else 3
-            n = int(rng.integers(6, 13)) if k == 2 else int(rng.integers(6, 9))
-            w = _random_block_affinity(rng, n, k)
-            a = njw_partition(w, k, np.random.default_rng(derive_seed(555, case)))
-            b = njw_partition(sparse.coo_array(w), k, np.random.default_rng(derive_seed(555, case)))
+        for w, k, seed in criterion6_affinities():
+            a = njw_partition(w, k, np.random.default_rng(seed))
+            b = njw_partition(sparse.coo_array(w), k, np.random.default_rng(seed))
             np.testing.assert_array_equal(a.assignments, b.assignments)
 
     @pytest.mark.parametrize("defect", ["asymmetric", "negative", "nan", "inf"])
@@ -183,6 +201,63 @@ class TestNJW:
         a = njw_partition(w, 3, np.random.default_rng(4))
         b = njw_partition(w, 3, np.random.default_rng(4))
         np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    def test_labels_ignore_eigenvector_signs(self, monkeypatch):
+        # the criterion-6 affinities and one sparse center graph of alg4,
+        # each with eigenvector columns negated at random
+        cases = criterion6_affinities()
+        graphs = []
+
+        def capture(w, k, rng):
+            graphs.append(w)
+            return njw_partition(w, k, rng)
+
+        monkeypatch.setattr(cluster, "njw_partition", capture)
+        algorithm4_local_pca_spectral(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 2, 1,
+                                      np.random.default_rng(5))
+        assert len(graphs) == 1 and sparse.issparse(graphs[0])
+        cases.append((graphs[0], 2, 17))
+        want = [njw_partition(w, k, np.random.default_rng(seed)).assignments
+                for w, k, seed in cases]
+
+        eigh = np.linalg.eigh
+        flips = np.random.default_rng(0)
+        flipped = []
+
+        def eigh_random_signs(a):
+            vals, vecs = eigh(a)
+            signs = flips.choice([-1.0, 1.0], size=vecs.shape[1])
+            flipped.append((signs < 0).sum())
+            return vals, vecs * signs
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_random_signs)
+        for (w, k, seed), labels in zip(cases, want):
+            got = njw_partition(w, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got.assignments, labels)
+        assert len(flipped) == len(cases) and sum(flipped) > 0
+
+    def test_inputs_unchanged(self):
+        w = _random_block_affinity(np.random.default_rng(3), 9, 2)
+        dense_before = w.copy()
+        coo = sparse.coo_array(w)
+        data_before = coo.data.copy()
+        njw_partition(w, 2, np.random.default_rng(0))
+        njw_partition(coo, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(w, dense_before)
+        np.testing.assert_array_equal(coo.data, data_before)
+
+    def test_symmetry_tolerance_is_absolute_1e12(self):
+        w = np.eye(3)
+        w[0, 1] = w[1, 0] = 0.5
+        w[0, 2] = 1e-12
+        assert njw_partition(w, 2, np.random.default_rng(0)).K_found == 2
+        w[0, 2] = 2e-12
+        with pytest.raises(InvalidInput):
+            njw_partition(w, 2, np.random.default_rng(0))
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInput):
+            njw_partition(np.zeros((0, 0)), 1, np.random.default_rng(0))
 
 
 THEOREM1_PARAMS = ScaleParams(r=0.05, eps=0.25, eta=0.12)

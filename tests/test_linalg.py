@@ -15,54 +15,6 @@ def line_projection(theta):
     return np.outer(v, v)
 
 
-class TestEigh:
-    def test_diagonal(self):
-        e = linalg.eigh(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(e.eigenvalues, [3.0, 2.0, 1.0])
-        # axis-aligned eigenvectors, positive sign
-        np.testing.assert_allclose(np.abs(e.eigenvectors), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
-        assert (e.eigenvectors.max(axis=0) > 0.99).all()
-
-    def test_zero_matrix(self):
-        e = linalg.eigh(np.zeros((4, 4)))
-        np.testing.assert_allclose(e.eigenvalues, np.zeros(4))
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(0)
-        m = random_symmetric(rng, 5)
-        e = linalg.eigh(m)
-        recon = e.eigenvectors @ np.diag(e.eigenvalues) @ e.eigenvectors.T
-        assert linalg.spectral_norm(recon - m) <= 1e-9 * (1 + linalg.spectral_norm(m))
-
-    def test_bulk_invariants(self):
-        # ordering, reconstruction, orthonormality over many random matrices
-        rng = np.random.default_rng(42)
-        for _ in range(10_000):
-            dim = int(rng.integers(1, 13))
-            m = random_symmetric(rng, dim, scale=float(rng.uniform(0.1, 10)))
-            e = linalg.eigh(m)
-            assert (np.diff(e.eigenvalues) <= 1e-12).all()
-            v = e.eigenvectors
-            assert linalg.spectral_norm(v.T @ v - np.eye(dim)) <= 1e-10
-            recon = v @ np.diag(e.eigenvalues) @ v.T
-            assert linalg.spectral_norm(recon - m) <= 1e-9 * (1 + linalg.spectral_norm(m))
-
-    def test_sign_convention_deterministic(self):
-        rng = np.random.default_rng(3)
-        m = random_symmetric(rng, 6)
-        e1 = linalg.eigh(m)
-        e2 = linalg.eigh(m.copy())
-        np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)
-        for k in range(6):
-            col = e1.eigenvectors[:, k]
-            first = col[np.argmax(np.abs(col) > 1e-9)]
-            assert first > 0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInput):
-            linalg.eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-
 class TestNorms:
     def test_spectral_examples(self):
         assert linalg.spectral_norm(np.diag([-2.0, 1.0])) == pytest.approx(2.0)
