@@ -282,6 +282,10 @@ def cmd_cluster(args) -> int:
         "n_centers": info.get("n_centers"),
         "n_edges": info.get("n_edges"),
         "n_components": info.get("n_components"),
+        "n_components_floor": info.get("n_components_floor"),
+        "eigenvalues": info.get("eigenvalues"),
+        "eigengap": info.get("eigengap"),
+        "kmeans_inertia": info.get("kmeans_inertia"),
         "k_found": labeling.K_found,
         "cluster_sizes": info["cluster_sizes"],
         "n_removed": int(labeling.removed.size) if labeling.removed is not None else 0,

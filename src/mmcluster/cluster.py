@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from . import affinity as aff
 from .errors import (
@@ -50,6 +50,18 @@ _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-8
 _KMEANS_RESTARTS = 10
 
+# From this many nodes on, njw_partition asks LAPACK's subset driver
+# (dsyevr) for the top K+1 eigenpairs only, which at n0 = 1400 takes half
+# the time of the full solve.  Smaller graphs keep NumPy's eigh: the first
+# call into SciPy's LAPACK maps about 1 MB of a second OpenBLAS, which is
+# +40% peak memory on a 2-3 MB run of small trials, while the full solve
+# of a 60-node graph takes under 1 ms.
+_SUBSET_MIN = 256
+
+# Affinity entries at or below this weight do not join two nodes in
+# ``n_components_floor``: the spectrum cannot see them.
+_WEIGHT_FLOOR = 1e-16
+
 
 @dataclass
 class Labeling:
@@ -59,9 +71,12 @@ class Labeling:
     before their reassignment, when the pipeline has such a step.  ``info``
     holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
     used (None where it used none), ``cluster_sizes``, and for the
-    center-graph pipelines ``n_centers``, ``center_indices``, and the edge
+    center-graph pipelines ``n_centers``, ``center_indices``, the edge
     count (positive off-diagonal pairs) ``n_edges`` and component count
-    ``n_components`` of the center affinity graph.
+    ``n_components`` of the center affinity graph, the component count
+    ``n_components_floor`` over the entries above ``_WEIGHT_FLOOR``, and
+    ``njw_partition``'s ``eigenvalues``, ``eigengap`` and
+    ``kmeans_inertia`` (None for a single center).
     """
 
     assignments: Array
@@ -158,11 +173,17 @@ def _dense(w) -> Array:
 def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     """Spectral graph partitioning of a symmetric nonnegative affinity,
     dense or ``scipy.sparse``.  The input is copied once into a dense
-    array, which is scaled in place and handed to ``eigh``.
+    array, which is scaled in place and handed to ``eigh``: NumPy's full
+    solve below ``_SUBSET_MIN`` nodes, LAPACK's subset driver for the top
+    K+1 eigenpairs from there on.
 
     The eigenvectors keep the signs LAPACK gives them: k-means sees a
     column only through squared differences and means, and negating the
     column leaves every distance, draw and assignment exactly as it was.
+
+    ``info`` holds the top min(K+1, n) ``eigenvalues`` of the normalized
+    affinity in descending order, the ``eigengap`` lambda_K - lambda_K+1
+    (None when K = n) and the ``kmeans_inertia`` of the embedding.
     """
     w = _dense(w) if sparse.issparse(w) else np.array(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -183,13 +204,23 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     scale = np.outer(degrees, degrees)
     w /= np.sqrt(scale, out=scale)
     del scale
-    rows = np.linalg.eigh(w)[1][:, :-k-1:-1]
+    if n < _SUBSET_MIN:
+        vals, vecs = np.linalg.eigh(w)
+    else:
+        # w is symmetric, so w.T is the same matrix in Fortran order and
+        # LAPACK overwrites it without a copy
+        vals, vecs = linalg.eigh(w.T, subset_by_index=[max(n - k - 1, 0), n - 1],
+                                 overwrite_a=True, check_finite=False)
+    top = vals[:-k-2:-1].tolist()
+    rows = vecs[:, :-k-1:-1]
     norms = np.sqrt((rows * rows).sum(axis=1))
     ok = norms > 0
     rows[ok] /= norms[ok, None]
     res = kmeans_pp(rows, k, rng)
     labels, k_found = renumber_first_occurrence(res.assignments)
-    return Labeling(assignments=labels, K_found=k_found)
+    info = {"eigenvalues": top, "eigengap": top[k - 1] - top[k] if k < n else None,
+            "kmeans_inertia": res.inertia}
+    return Labeling(assignments=labels, K_found=k_found, info=info)
 
 
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
@@ -293,7 +324,8 @@ def algorithm4_local_pca_spectral(
     y = cloud.coords[center_idx]
 
     eps_used = eta_used = None
-    n_edges, n_components = 0, 1
+    graph = {"n_edges": 0, "n_components": 1, "n_components_floor": 1}
+    spectral = dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))
     if n0 == 1:
         center_labels = np.ones(1, dtype=int)
     else:
@@ -319,13 +351,19 @@ def algorithm4_local_pca_spectral(
         else:
             raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
         # every stored entry is positive, and each pair is stored twice
-        n_edges = int(np.count_nonzero(w.row - w.col)) // 2
-        n_components = int(connected_components(n0, np.column_stack([w.row, w.col])).max())
-        center_labels = njw_partition(w, k, rng).assignments
+        edges = np.column_stack([w.row, w.col])
+        graph = {"n_edges": int(np.count_nonzero(w.row - w.col)) // 2,
+                 "n_components": int(connected_components(n0, edges).max()),
+                 "n_components_floor": int(connected_components(
+                     n0, edges[w.data > _WEIGHT_FLOOR]).max())}
+        del edges  # freed before njw_partition makes its n0 x n0 copy
+        partition = njw_partition(w, k, rng)
+        center_labels = partition.assignments
+        spectral = partition.info
 
     labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])
     info = {"eps": eps_used, "eta": eta_used, "n_centers": int(n0),
-            "center_indices": center_idx, "n_edges": n_edges, "n_components": n_components,
+            "center_indices": center_idx, **graph, **spectral,
             "cluster_sizes": _cluster_sizes(labels, k_found)}
     labeling = Labeling(assignments=labels, K_found=k_found, info=info)
     return (labeling, labeling.info) if return_info else labeling

@@ -248,6 +248,14 @@ class TestCluster:
         np.fill_diagonal(w, 0.0)
         assert report["n_edges"] == np.count_nonzero(w) // 2
         assert report["n_components"] == csgraph_components(w > 0, directed=False)[0]
+        # the smallest entry is about 1e-250: the graph is one component over
+        # its positive entries and two above the weight floor
+        assert report["n_components"] == 1
+        assert report["n_components_floor"] == 2 == csgraph_components(
+            w > 1e-16, directed=False)[0]
+        assert len(report["eigenvalues"]) == 3
+        assert report["eigengap"] == report["eigenvalues"][1] - report["eigenvalues"][2]
+        assert report["kmeans_inertia"] >= 0
 
     def test_algorithm_failure_exit_1(self, tmp_path, capsys):
         data = tmp_path / "seg.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -33,6 +34,31 @@ def single_segment_cloud(n=800):
     t = np.linspace(-1.0, 1.0, n)
     return PointCloud(np.column_stack([t, np.zeros(n)]),
                       labels=np.ones(n, dtype=int))
+
+
+def normalized(w):
+    """D^-1/2 W D^-1/2 of a dense or sparse affinity, as a dense array."""
+    w = w.toarray() if sparse.issparse(w) else np.asarray(w, dtype=float)
+    d = w.sum(axis=1)
+    return w / np.sqrt(np.outer(d, d))
+
+
+def alg4_center_graph(monkeypatch):
+    """The sparse center affinity that alg4 hands to njw_partition on a
+    600-point crossing."""
+    graphs = []
+    partition = cluster.njw_partition
+    with monkeypatch.context() as m:
+        m.setattr(cluster, "njw_partition",
+                  lambda w, k, rng: graphs.append(w) or partition(w, k, rng))
+        algorithm4_local_pca_spectral(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 2, 1,
+                                      np.random.default_rng(5))
+    assert len(graphs) == 1 and sparse.issparse(graphs[0])
+    return graphs[0]
+
+
+# _SUBSET_MIN values that send every graph down one eigensolver branch
+BRANCHES = {"full": math.inf, "subset": 1}
 
 
 def criterion6_affinities():
@@ -204,37 +230,74 @@ class TestNJW:
 
     def test_labels_ignore_eigenvector_signs(self, monkeypatch):
         # the criterion-6 affinities and one sparse center graph of alg4,
-        # each with eigenvector columns negated at random
+        # each with eigenvector columns negated at random, on both branches
         cases = criterion6_affinities()
-        graphs = []
-
-        def capture(w, k, rng):
-            graphs.append(w)
-            return njw_partition(w, k, rng)
-
-        monkeypatch.setattr(cluster, "njw_partition", capture)
-        algorithm4_local_pca_spectral(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 2, 1,
-                                      np.random.default_rng(5))
-        assert len(graphs) == 1 and sparse.issparse(graphs[0])
-        cases.append((graphs[0], 2, 17))
-        want = [njw_partition(w, k, np.random.default_rng(seed)).assignments
-                for w, k, seed in cases]
-
-        eigh = np.linalg.eigh
+        cases.append((alg4_center_graph(monkeypatch), 2, 17))
         flips = np.random.default_rng(0)
-        flipped = []
+        for branch, module in (("full", np.linalg), ("subset", scipy.linalg)):
+            monkeypatch.setattr(cluster, "_SUBSET_MIN", BRANCHES[branch])
+            want = [njw_partition(w, k, np.random.default_rng(seed)).assignments
+                    for w, k, seed in cases]
+            eigh = module.eigh
+            flipped = []
 
-        def eigh_random_signs(a):
-            vals, vecs = eigh(a)
-            signs = flips.choice([-1.0, 1.0], size=vecs.shape[1])
-            flipped.append((signs < 0).sum())
-            return vals, vecs * signs
+            def eigh_random_signs(a, *args, **kwargs):
+                vals, vecs = eigh(a, *args, **kwargs)
+                signs = flips.choice([-1.0, 1.0], size=vecs.shape[1])
+                flipped.append((signs < 0).sum())
+                return vals, vecs * signs
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh_random_signs)
-        for (w, k, seed), labels in zip(cases, want):
-            got = njw_partition(w, k, np.random.default_rng(seed))
-            np.testing.assert_array_equal(got.assignments, labels)
-        assert len(flipped) == len(cases) and sum(flipped) > 0
+            with monkeypatch.context() as m:
+                m.setattr(module, "eigh", eigh_random_signs)
+                for (w, k, seed), labels in zip(cases, want):
+                    got = njw_partition(w, k, np.random.default_rng(seed))
+                    np.testing.assert_array_equal(got.assignments, labels)
+            assert len(flipped) == len(cases) and sum(flipped) > 0
+
+    def test_branches_give_identical_labels(self, monkeypatch):
+        # the full and the subset solve on the criterion-6 affinities, on
+        # dense block affinities of 400 nodes and on an alg4 center graph
+        rng = np.random.default_rng(31)
+        cases = criterion6_affinities()
+        cases += [(_random_block_affinity(rng, 400, k), k, 40 + k) for k in (2, 3)]
+        cases.append((alg4_center_graph(monkeypatch), 2, 17))
+        got = {}
+        for branch, size in BRANCHES.items():
+            monkeypatch.setattr(cluster, "_SUBSET_MIN", size)
+            got[branch] = [njw_partition(w, k, np.random.default_rng(seed))
+                           for w, k, seed in cases]
+        for full, subset in zip(got["full"], got["subset"]):
+            np.testing.assert_array_equal(full.assignments, subset.assignments)
+            assert full.info["kmeans_inertia"] == pytest.approx(
+                subset.info["kmeans_inertia"], rel=1e-6, abs=1e-12)
+
+    def test_subset_solve_from_256_nodes(self, monkeypatch):
+        calls = []
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda a, **kwargs: calls.append(len(a)) or eigh(a, **kwargs))
+        rng = np.random.default_rng(6)
+        for n in (255, 256):
+            njw_partition(_random_block_affinity(rng, n, 2), 2, np.random.default_rng(0))
+        assert calls == [256]
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_eigenvalues_match_eigvalsh(self, branch, monkeypatch):
+        monkeypatch.setattr(cluster, "_SUBSET_MIN", BRANCHES[branch])
+        rng = np.random.default_rng(8)
+        cases = [(w, k) for w, k, _ in criterion6_affinities()[:40]]
+        cases += [(_random_block_affinity(rng, 300, 3), 3),
+                  (alg4_center_graph(monkeypatch), 2),
+                  (np.ones((2, 2)), 2)]
+        for w, k in cases:
+            info = njw_partition(w, k, np.random.default_rng(0)).info
+            want = np.linalg.eigvalsh(normalized(w))[::-1][:k + 1]
+            np.testing.assert_allclose(info["eigenvalues"], want, rtol=0, atol=1e-12)
+            if k < len(want):
+                assert info["eigengap"] == info["eigenvalues"][k - 1] - info["eigenvalues"][k]
+            else:
+                assert info["eigengap"] is None
+            assert info["kmeans_inertia"] >= 0
 
     def test_inputs_unchanged(self):
         w = _random_block_affinity(np.random.default_rng(3), 9, 2)
@@ -411,6 +474,10 @@ class TestAlgorithm4:
         np.fill_diagonal(off, False)
         assert lab.info["n_edges"] == off.sum() // 2 > 0
         assert lab.info["n_components"] == connected_components(off, directed=False)[0]
+        assert lab.info["n_components_floor"] == connected_components(
+            off & (w > 1e-16), directed=False)[0]
+        want = np.linalg.eigvalsh(normalized(seen[0]))[:-4:-1]
+        np.testing.assert_allclose(lab.info["eigenvalues"], want, rtol=0, atol=1e-12)
 
     def test_info_keys_do_not_depend_on_path(self):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
@@ -420,8 +487,13 @@ class TestAlgorithm4:
         assert base.info["eps"] > 0 and base.info["eta"] is None
         assert single.info["n_centers"] == 1 and single.info["cluster_sizes"] == [2]
         assert single.info["n_edges"] == 0 and single.info["n_components"] == 1
+        assert single.info["n_components_floor"] == 1
+        assert len(base.info["eigenvalues"]) == 3 and base.info["kmeans_inertia"] >= 0
+        assert single.info["eigenvalues"] is single.info["eigengap"] is None
+        assert single.info["kmeans_inertia"] is None
         assert set(base.info) == set(single.info) == {
             "eps", "eta", "n_centers", "center_indices", "n_edges", "n_components",
+            "n_components_floor", "eigenvalues", "eigengap", "kmeans_inertia",
             "cluster_sizes"}
 
     def test_baseline_cannot_resolve_crossing(self):
