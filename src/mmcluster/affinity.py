@@ -2,22 +2,22 @@
 
 Matrix discrepancies default to the spectral norm; a Frobenius mode is
 available everywhere through ``norm="frobenius"``.  Every affinity is a
-symmetric ``scipy.sparse`` COO matrix that stores only the pairs its kind
-can weight, and no zero entries:
+symmetric ``scipy.sparse`` COO matrix that stores exactly its off-diagonal
+entries of weight at least exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF = 6.1:
+no diagonal (NJW's A_ii = 0) and nothing below that floor, so one rule
+holds for every kind.
 
 * the indicator kinds (``cov``, ``proj``) store their connected pairs
-  within eps, with zero diagonal;
-* the Gaussian kinds (``distance``, ``gauss``, ``gong``) store the pairs
-  within _CUTOFF = 6.1 spatial scales, with unit diagonal; every pair
-  left out weighs less than exp(-6.1^2) ~ 7e-17;
-* ``wang`` stores the symmetric ell-NN pairs, with unit diagonal.
-
-``cluster.njw_partition`` still turns its input into a dense array for
-its eigensolver.
+  within eps;
+* the Gaussian kinds (``distance``, ``gauss``, ``gong``) weigh only the
+  pairs within _CUTOFF spatial scales; every pair beyond weighs less than
+  the floor anyway;
+* ``wang`` weighs the symmetric ell-NN pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +31,10 @@ from .neighborhoods import NeighborhoodIndex, PointCloud, balls, build_index
 
 Array = np.ndarray
 
-# Gaussian-type affinities weight only pairs within _CUTOFF scales
+# Gaussian-type affinities weight only pairs within _CUTOFF scales, and
+# no affinity stores a weight below exp(-_CUTOFF^2)
 _CUTOFF = 6.1
+_FLOOR = math.exp(-_CUTOFF**2)
 # pairs per block of the gap kernel: its buffers stay in cache, and no
 # temporary grows with the number of pairs
 _GAP_BLOCK = 1 << 15
@@ -96,32 +98,30 @@ def indicator_pairs(
     return pairs, keep
 
 
-def _symmetric(n: int, pairs: Array, vals: Array, diagonal: float) -> sparse.coo_array:
+def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
     """n x n COO matrix with ``vals`` at the (i < j) ``pairs`` and their
-    mirrors, ``diagonal`` on the diagonal; zero values are not stored."""
-    kept = np.flatnonzero(vals)  # no value is negative
+    mirrors; values below _FLOOR are not stored."""
+    kept = np.flatnonzero(vals >= _FLOOR)
     i, j = pairs[kept].T
     vals = vals[kept]
-    diag = np.arange(n) if diagonal else np.empty(0, dtype=int)
-    return sparse.coo_array(
-        (np.concatenate([vals, vals, np.full(diag.size, diagonal)]),
-         (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
-        shape=(n, n))
+    return sparse.coo_array((np.concatenate([vals, vals]),
+                             (np.concatenate([i, j]), np.concatenate([j, i]))),
+                            shape=(n, n))
 
 
 def _indicator(models: LocalModels, stack: Array, eps: float, threshold: float,
                norm: str) -> sparse.coo_array:
     index = build_index(PointCloud(models.centers))
     pairs, keep = indicator_pairs(stack, models.degenerate, index, eps, threshold, norm)
-    return _symmetric(len(models), pairs, keep.astype(float), 0.0)
+    return _symmetric(len(models), pairs, keep.astype(float))
 
 
 def cov_indicator_affinity(models: LocalModels, eps: float, eta: float, r: float,
                            norm: str = "spectral") -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||C_i - C_j|| <= eta * r^2.
 
-    Sparse: only the connected pairs are stored.  Zero diagonal.
-    Degenerate models are left unconnected.
+    Sparse: only the connected pairs are stored.  Degenerate models are
+    left unconnected.
     """
     return _indicator(models, models.covariance, eps, eta * r * r, norm)
 
@@ -130,9 +130,9 @@ def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
                             norm: str = "spectral") -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||Q_i - Q_j|| <= eta.
 
-    Sparse: only the connected pairs are stored.  Zero diagonal.  Models
-    with differing estimated dimension sit at spectral distance 1, so they
-    disconnect whenever eta < 1.
+    Sparse: only the connected pairs are stored.  Models with differing
+    estimated dimension sit at spectral distance 1, so they disconnect
+    whenever eta < 1.
     """
     return _indicator(models, models.projection, eps, eta, norm)
 
@@ -150,27 +150,27 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
                               eta: float) -> sparse.coo_array:
     """W_ij = exp(-||y_i-y_j||^2/eps^2) * exp(-||Q_i-Q_j||^2/eta^2).
 
-    Sparse, symmetric, unit diagonal: only pairs within _CUTOFF * eps are
-    weighted, the rest are below exp(-_CUTOFF^2) ~ 7e-17 and left out,
-    and so are entries that underflow to 0.
+    Sparse, symmetric: only pairs within _CUTOFF * eps are weighted (the
+    rest are below exp(-_CUTOFF^2) ~ 7e-17), and only entries at or above
+    that floor are stored.
     """
     if eps <= 0 or eta <= 0:
         raise InvalidInput("eps and eta must be positive")
     pairs, w = _distance_factor(models.centers, eps)
     qd = pairwise_diff_norms(models.projection, pairs, "spectral")
-    return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2), 1.0)
+    return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2))
 
 
 def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
     """Distance-only Gaussian affinity (tangent factor dropped).
 
-    Sparse, symmetric, unit diagonal, cut off at _CUTOFF * eps like the
-    product affinity.
+    Sparse and symmetric, cut off at _CUTOFF * eps like the product
+    affinity.
     """
     if eps <= 0:
         raise InvalidInput("eps must be positive")
     points = np.asarray(points, float)
-    return _symmetric(points.shape[0], *_distance_factor(points, eps), 1.0)
+    return _symmetric(points.shape[0], *_distance_factor(points, eps))
 
 
 def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
@@ -193,7 +193,7 @@ def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_arr
     """Mutual ell-NN indicator times the product of principal-angle cosines
     raised to alpha.  Requires equal estimated dimensions.
 
-    Sparse, symmetric, unit diagonal: only the ell-NN pairs are weighted.
+    Sparse, symmetric: only the ell-NN pairs are weighted.
     """
     if alpha <= 0:
         raise InvalidInput("alpha must be positive")
@@ -207,7 +207,7 @@ def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_arr
     bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
     # prod_s cos(theta_s) equals |det(U_i^T U_j)| for the top-d bases
     grams = np.einsum("pka,pkb->pab", bases[pairs[:, 0]], bases[pairs[:, 1]])
-    return _symmetric(len(models), pairs, np.abs(np.linalg.det(grams)) ** alpha, 1.0)
+    return _symmetric(len(models), pairs, np.abs(np.linalg.det(grams)) ** alpha)
 
 
 def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array:
@@ -215,9 +215,9 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
 
     eps_i is the distance from point i to its ell-th nearest neighbor.
     For coincident points the angle factor is 1 when the projections
-    agree and 0 otherwise (limit convention).  Sparse, symmetric, unit
-    diagonal: only pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are
-    weighted, the rest are below exp(-_CUTOFF^2) ~ 7e-17 and left out.
+    agree and 0 otherwise (limit convention).  Sparse, symmetric: only
+    pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are weighted, the rest
+    are below exp(-_CUTOFF^2) ~ 7e-17 and left out.
     """
     if eta <= 0:
         raise InvalidInput("eta must be positive")
@@ -237,7 +237,7 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
         angle_term = np.where(s > 0, np.exp(-np.arcsin(qd) ** 2 / (eta**2 * s)), 0.0)
     coincident = (s == 0)
     angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
-    return _symmetric(len(models), pairs, np.exp(-s) * angle_term, 1.0)
+    return _symmetric(len(models), pairs, np.exp(-s) * angle_term)
 
 
 def auto_epsilon(centers: Array) -> float:

@@ -282,7 +282,7 @@ def cmd_cluster(args) -> int:
         "n_centers": info.get("n_centers"),
         "n_edges": info.get("n_edges"),
         "n_components": info.get("n_components"),
-        "n_components_floor": info.get("n_components_floor"),
+        "n_isolated": info.get("n_isolated"),
         "eigenvalues": info.get("eigenvalues"),
         "eigengap": info.get("eigengap"),
         "kmeans_inertia": info.get("kmeans_inertia"),

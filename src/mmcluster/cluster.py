@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import affinity as aff
 from .errors import (
@@ -52,15 +53,20 @@ _KMEANS_RESTARTS = 10
 
 # From this many nodes on, njw_partition asks LAPACK's subset driver
 # (dsyevr) for the top K+1 eigenpairs only, which at n0 = 1400 takes half
-# the time of the full solve.  Smaller graphs keep NumPy's eigh: the first
-# call into SciPy's LAPACK maps about 1 MB of a second OpenBLAS, which is
-# +40% peak memory on a 2-3 MB run of small trials, while the full solve
-# of a 60-node graph takes under 1 ms.
+# the time of the full solve, and alg4 solves a center graph with fewer
+# components than clusters by a sparse Lanczos solve instead, with no
+# n0 x n0 array at all.  Smaller graphs keep NumPy's eigh: the first call
+# into SciPy's LAPACK maps about 1 MB of a second OpenBLAS, which is +40%
+# peak memory on a 2-3 MB run of small trials, while the full solve of a
+# 60-node graph takes under 1 ms.
 _SUBSET_MIN = 256
 
-# Affinity entries at or below this weight do not join two nodes in
-# ``n_components_floor``: the spectrum cannot see them.
-_WEIGHT_FLOOR = 1e-16
+# eigenpairs the sparse solve asks for beyond the K - c + 1 it uses.
+# ARPACK keeps the Ritz vectors it is asked for across restarts; on a
+# graph of curves, whose top eigenvalues lie within 1e-4 of each other,
+# asking for 2 took 19k products with the operator at n0 = 392, asking
+# for 8 took 1.5k, and on the spheres 1080 against 474.
+_LANCZOS_EXTRA = 6
 
 
 @dataclass
@@ -71,12 +77,12 @@ class Labeling:
     before their reassignment, when the pipeline has such a step.  ``info``
     holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
     used (None where it used none), ``cluster_sizes``, and for the
-    center-graph pipelines ``n_centers``, ``center_indices``, the edge
-    count (positive off-diagonal pairs) ``n_edges`` and component count
-    ``n_components`` of the center affinity graph, the component count
-    ``n_components_floor`` over the entries above ``_WEIGHT_FLOOR``, and
-    ``njw_partition``'s ``eigenvalues``, ``eigengap`` and
-    ``kmeans_inertia`` (None for a single center).
+    center-graph pipelines ``n_centers``, ``center_indices``, the stored
+    pairs ``n_edges`` of the center affinity graph, the count
+    ``n_isolated`` of centers with no stored pair, the component count
+    ``n_components`` of the other centers, and the spectral step's
+    ``eigenvalues``, ``eigengap`` and ``kmeans_inertia`` (None where no
+    eigensolver ran: one center, or as many components as clusters).
     """
 
     assignments: Array
@@ -170,12 +176,28 @@ def _dense(w) -> Array:
     return np.bincount(flat, weights=w.data, minlength=w.shape[0] * w.shape[1]).reshape(w.shape)
 
 
+def _spectral_labeling(rows: Array, eigenvalues: list, k: int,
+                       rng: np.random.Generator) -> Labeling:
+    """The NJW tail: normalize the rows of the top-k embedding in place,
+    run k-means++ on them and number the clusters by first occurrence.
+    ``eigenvalues`` are the top min(k+1, n) ones, in descending order."""
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    ok = norms > 0
+    rows[ok] /= norms[ok, None]
+    res = kmeans_pp(rows, k, rng)
+    labels, k_found = renumber_first_occurrence(res.assignments)
+    gap = eigenvalues[k - 1] - eigenvalues[k] if k < len(eigenvalues) else None
+    info = {"eigenvalues": eigenvalues, "eigengap": gap, "kmeans_inertia": res.inertia}
+    return Labeling(assignments=labels, K_found=k_found, info=info)
+
+
 def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     """Spectral graph partitioning of a symmetric nonnegative affinity,
     dense or ``scipy.sparse``.  The input is copied once into a dense
-    array, which is scaled in place and handed to ``eigh``: NumPy's full
-    solve below ``_SUBSET_MIN`` nodes, LAPACK's subset driver for the top
-    K+1 eigenpairs from there on.
+    array, whose rows and then columns are scaled in place by d^-1/2 (no
+    degree product, which could underflow), and which is handed to
+    ``eigh``: NumPy's full solve below ``_SUBSET_MIN`` nodes, LAPACK's
+    subset driver for the top K+1 eigenpairs from there on.
 
     The eigenvectors keep the signs LAPACK gives them: k-means sees a
     column only through squared differences and means, and negating the
@@ -201,9 +223,9 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     degrees = w.sum(axis=1)
     if (degrees <= 0).any():
         raise IsolatedNode("affinity has a zero-degree node")
-    scale = np.outer(degrees, degrees)
-    w /= np.sqrt(scale, out=scale)
-    del scale
+    scale = 1.0 / np.sqrt(degrees)
+    w *= scale[:, None]
+    w *= scale
     if n < _SUBSET_MIN:
         vals, vecs = np.linalg.eigh(w)
     else:
@@ -211,16 +233,87 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
         # LAPACK overwrites it without a copy
         vals, vecs = linalg.eigh(w.T, subset_by_index=[max(n - k - 1, 0), n - 1],
                                  overwrite_a=True, check_finite=False)
-    top = vals[:-k-2:-1].tolist()
-    rows = vecs[:, :-k-1:-1]
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    ok = norms > 0
-    rows[ok] /= norms[ok, None]
-    res = kmeans_pp(rows, k, rng)
-    labels, k_found = renumber_first_occurrence(res.assignments)
-    info = {"eigenvalues": top, "eigengap": top[k - 1] - top[k] if k < n else None,
-            "kmeans_inertia": res.inertia}
-    return Labeling(assignments=labels, K_found=k_found, info=info)
+    return _spectral_labeling(vecs[:, :-k-1:-1], vals[:-k-2:-1].tolist(), k, rng)
+
+
+def _deflated_partition(row: Array, col: Array, data: Array, ids: Array, k: int,
+                        rng: np.random.Generator) -> Labeling | None:
+    """NJW on a graph of m nodes given by its stored entries (no
+    zero-degree node) and its c < k components ``ids`` (1-based), with no
+    m x m array; k < m.
+
+    The top eigenvalue 1 of M = D^-1/2 W D^-1/2 has the c unit vectors
+    u_C ~ D^1/2 1_C as eigenvectors.  ``eigsh`` finds the next k - c + 1
+    eigenpairs (and _LANCZOS_EXTRA more, which it keeps across restarts)
+    as the top ones of x -> Mx + x - 2 U U^T x: the shift by
+    the identity sends the u_C to 0, below every other eigenvalue of
+    M + I, even on a graph whose other eigenvalues are negative.  The
+    embedding is [U, the top k - c vectors].  The start vector is fixed
+    and generic, and does not come from ``rng``, so k-means sees the same
+    generator state as on the dense path.  Returns None when ARPACK does
+    not converge.
+    """
+    m, c = ids.size, int(ids.max())
+    degrees = np.bincount(row, weights=data, minlength=m)
+    scale = 1.0 / np.sqrt(degrees)
+    mat = sparse.csr_array((data * scale[row] * scale[col], (row, col)), shape=(m, m))
+    u = np.zeros((m, c))
+    u[np.arange(m), ids - 1] = np.sqrt(degrees)
+    u /= np.sqrt(np.bincount(ids - 1, weights=degrees, minlength=c))
+    op = LinearOperator((m, m), dtype=float,
+                        matvec=lambda x: mat @ x + x - 2.0 * (u @ (u.T @ x)))
+    try:
+        vals, vecs = eigsh(op, k=min(k - c + 1 + _LANCZOS_EXTRA, m - 1), which="LA",
+                           v0=np.cos(np.arange(m)))
+    except ArpackNoConvergence:
+        return None
+    order = np.argsort(vals)[:-(k - c) - 2:-1]
+    rows = np.hstack([u, vecs[:, order[:k - c]]])
+    return _spectral_labeling(rows, [1.0] * c + (vals[order] - 1.0).tolist(), k, rng)
+
+
+def _partition_centers(w: sparse.coo_array, y: Array, k: int,
+                       rng: np.random.Generator) -> tuple[Array, dict]:
+    """1-based labels of the n0 centers at ``y`` from their affinity
+    ``w``, and the graph and spectral diagnostics.
+
+    The centers with at least one stored entry are linked; there must be
+    at least k of them.  Their graph has c connected components:
+    * c = k: the components are the clusters, which is what NJW returns
+      in exact arithmetic; no eigensolver and no k-means run;
+    * c < k < m on m >= ``_SUBSET_MIN`` linked centers: the deflated
+      sparse solve of ``_deflated_partition``;
+    * otherwise, or when ARPACK does not converge: ``njw_partition``.
+    An isolated center takes the label of its nearest linked center.
+    """
+    n0 = w.shape[0]
+    row, col, data = w.row, w.col, w.data
+    linked = np.bincount(row, minlength=n0) > 0
+    m = int(np.count_nonzero(linked))
+    if m < k:
+        raise TooFewCenters(f"{m} linked centers cannot form {k} clusters")
+    if m < n0:
+        position = np.cumsum(linked) - 1
+        row, col = position[row], position[col]
+    ids = connected_components(m, np.column_stack([row, col]))
+    c = int(ids.max())
+    info = {"n_edges": row.size // 2, "n_components": c, "n_isolated": n0 - m,
+            **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
+    if c == k:
+        labels = ids
+    else:
+        part = (_deflated_partition(row, col, data, ids, k, rng)
+                if c < k < m and m >= _SUBSET_MIN else None)
+        if part is None:
+            part = njw_partition(sparse.coo_array((data, (row, col)), shape=(m, m)), k, rng)
+        labels = part.assignments
+        info.update(part.info)
+    if m == n0:
+        return labels, info
+    out = np.empty(n0, dtype=int)
+    out[linked] = labels
+    out[~linked] = labels[nearest_site(y[~linked], y[linked])]
+    return out, info
 
 
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
@@ -324,8 +417,8 @@ def algorithm4_local_pca_spectral(
     y = cloud.coords[center_idx]
 
     eps_used = eta_used = None
-    graph = {"n_edges": 0, "n_components": 1, "n_components_floor": 1}
-    spectral = dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))
+    graph = {"n_edges": 0, "n_components": 1, "n_isolated": 0,
+             **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
     if n0 == 1:
         center_labels = np.ones(1, dtype=int)
     else:
@@ -350,20 +443,11 @@ def algorithm4_local_pca_spectral(
             w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
         else:
             raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
-        # every stored entry is positive, and each pair is stored twice
-        edges = np.column_stack([w.row, w.col])
-        graph = {"n_edges": int(np.count_nonzero(w.row - w.col)) // 2,
-                 "n_components": int(connected_components(n0, edges).max()),
-                 "n_components_floor": int(connected_components(
-                     n0, edges[w.data > _WEIGHT_FLOOR]).max())}
-        del edges  # freed before njw_partition makes its n0 x n0 copy
-        partition = njw_partition(w, k, rng)
-        center_labels = partition.assignments
-        spectral = partition.info
+        center_labels, graph = _partition_centers(w, y, k, rng)
 
     labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])
     info = {"eps": eps_used, "eta": eta_used, "n_centers": int(n0),
-            "center_indices": center_idx, **graph, **spectral,
+            "center_indices": center_idx, **graph,
             "cluster_sizes": _cluster_sizes(labels, k_found)}
     labeling = Labeling(assignments=labels, K_found=k_found, info=info)
     return (labeling, labeling.info) if return_info else labeling

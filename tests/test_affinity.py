@@ -33,6 +33,10 @@ def dense(w):
     return w.toarray()
 
 
+def off_diagonal(n):
+    return ~np.eye(n, dtype=bool)
+
+
 def line_proj(theta):
     v = np.array([math.cos(theta), math.sin(theta)])
     return np.outer(v, v)
@@ -90,7 +94,7 @@ class TestGaussianProduct:
         p = line_proj(0.3)
         models = model_record([[1.0, 1.0], [1.0, 1.0]], projs=[p, p])
         w = dense(aff.gaussian_product_affinity(models, eps=0.5, eta=0.5))
-        np.testing.assert_allclose(w, np.ones((2, 2)))
+        np.testing.assert_array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_distance_factor(self):
         p = line_proj(0.0)
@@ -105,15 +109,15 @@ class TestGaussianProduct:
         w = dense(aff.gaussian_product_affinity(models, eps=0.5, eta=eta))
         assert w[0, 1] == pytest.approx(math.exp(-1.0) * math.exp(-1.0 / eta**2))
 
-    def test_bounded_unit_diagonal(self):
+    def test_bounded_zero_diagonal(self):
         rng = np.random.default_rng(0)
         centers, projs = zip(*[(rng.normal(size=2), line_proj(rng.uniform(0, math.pi)))
                                for _ in range(20)])
         models = model_record(centers, projs=projs)
         w = dense(aff.gaussian_product_affinity(models, eps=1.0, eta=0.5))
         assert np.allclose(w, w.T)
-        assert (w > 0).all() and (w <= 1.0).all()
-        np.testing.assert_allclose(np.diag(w), 1.0)
+        assert (w[off_diagonal(20)] > 0).all() and (w <= 1.0).all()
+        np.testing.assert_array_equal(np.diag(w), 0.0)
 
 
 class TestWang:
@@ -164,7 +168,7 @@ class TestWang:
             w = dense(aff.wang_affinity(models, ell=ell, alpha=alpha))
             pairs, _ = aff._knn_adjacency(models.centers, ell)
             bases = [np.linalg.eigh(p)[1][:, -d:] for p in models.projection]
-            want = np.eye(n)
+            want = np.zeros((n, n))
             for i, j in pairs:
                 want[i, j] = want[j, i] = abs(np.linalg.det(bases[i].T @ bases[j])) ** alpha
             np.testing.assert_allclose(w, want, rtol=0, atol=1e-12)
@@ -181,7 +185,7 @@ class TestGong:
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         eps_i = np.sort(d, axis=1)[:, ell]
         want = np.exp(-(d**2) / np.outer(eps_i, eps_i))
-        np.fill_diagonal(want, 1.0)
+        np.fill_diagonal(want, 0.0)
         np.testing.assert_allclose(w, want, atol=1e-12)
 
     def test_hand_value(self):
@@ -248,8 +252,9 @@ class TestPairGaps:
 
 class TestSparseShape:
     """Each sparse affinity against a dense oracle of the same formulas
-    over all n x n pairs: every stored entry equals the oracle's, and
-    every entry left out is below exp(-6.1^2) in the oracle."""
+    over all n x n pairs, with zero diagonal: every stored entry equals
+    the oracle's and is at least exp(-6.1^2), and every entry left out is
+    below exp(-6.1^2) in the oracle."""
 
     CUTOFF_WEIGHT = math.exp(-6.1**2)
 
@@ -270,7 +275,7 @@ class TestSparseShape:
 
     def oracle_distance(self, y, eps):
         w = np.exp(-self.oracle_sq_dists(y) / eps**2)
-        np.fill_diagonal(w, 1.0)
+        np.fill_diagonal(w, 0.0)
         return w
 
     def oracle_gauss(self, models, eps, eta):
@@ -304,7 +309,7 @@ class TestSparseShape:
     def oracle_wang(self, models, ell, alpha, d):
         adj, _ = self.oracle_knn(models.centers, ell)
         bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
-        w = np.eye(len(models))
+        w = np.zeros((len(models), len(models)))
         i, j = np.nonzero(np.triu(adj, k=1))
         grams = np.einsum("pka,pkb->pab", bases[i], bases[j])
         w[i, j] = w[j, i] = np.abs(np.linalg.det(grams)) ** alpha
@@ -319,7 +324,7 @@ class TestSparseShape:
         coincident = (s == 0)
         angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
         w = np.exp(-s) * angle_term
-        np.fill_diagonal(w, 1.0)
+        np.fill_diagonal(w, 0.0)
         return w
 
     @staticmethod
@@ -344,6 +349,7 @@ class TestSparseShape:
             np.testing.assert_array_equal(got[stored], want[stored])
         else:
             np.testing.assert_allclose(got[stored], want[stored], rtol=1e-14, atol=0)
+        assert (got[stored] >= self.CUTOFF_WEIGHT).all()
         assert (want[~stored] < self.CUTOFF_WEIGHT).all()
         return stored
 
@@ -356,7 +362,8 @@ class TestSparseShape:
                 stored = self.check(aff.distance_gaussian_affinity(models.centers, eps),
                                     self.oracle_distance(models.centers, eps), exact=True)
                 if eps < 0.1:
-                    assert not stored.all()  # the cutoff drops some pairs
+                    # the cutoff drops some pairs
+                    assert not stored[off_diagonal(len(stored))].all()
                 # eta at its 1e-12 floor underflows every unequal tangent pair
                 for eta in (0.3, 1e-12):
                     self.check(aff.gaussian_product_affinity(models, eps, eta),
@@ -400,7 +407,30 @@ class TestSparseShape:
                 stored = self.check(aff.gong_affinity(models, ell, eta), want, exact=False)
                 assert stored[0, 1] and not stored[2, 3]
                 if ell == 2:
-                    assert not stored.all()  # the cutoff drops some pairs
+                    # the cutoff drops some pairs
+                    assert not stored[off_diagonal(len(stored))].all()
+
+    def test_no_diagonal_and_nothing_below_floor(self):
+        # every kind stores off-diagonal entries of at least exp(-6.1^2)
+        # only; the product affinity also has positive weights below that
+        # floor between pairs within the cutoff, which it leaves out
+        rng = np.random.default_rng(11)
+        models = self.random_models(rng, 80, 3)
+        models.covariance = 0.01 * models.projection
+        eps, eta = 0.3, 0.1
+        for w in (aff.distance_gaussian_affinity(models.centers, eps),
+                  aff.gaussian_product_affinity(models, eps, eta),
+                  aff.cov_indicator_affinity(models, eps, 0.9, 0.1),
+                  aff.proj_indicator_affinity(models, eps, 0.9),
+                  aff.wang_affinity(self.random_models(rng, 80, 3, degenerate=False, rank=1),
+                                    ell=5, alpha=8.0),
+                  aff.gong_affinity(models, ell=4, eta=eta)):
+            assert w.row.size > 0
+            assert not (w.row == w.col).any()
+            assert w.data.min() >= self.CUTOFF_WEIGHT
+        want = self.oracle_gauss(models, eps, eta)
+        near = self.oracle_sq_dists(models.centers) <= (6.1 * eps) ** 2
+        assert ((want > 0) & (want < self.CUTOFF_WEIGHT) & near).any()
 
     def test_knn_pairs_match_dense_oracle(self):
         rng = np.random.default_rng(5)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
-from mmcluster import cli
+from mmcluster import cli, cluster
 from mmcluster.affinity import auto_epsilon, auto_eta, gaussian_product_affinity
 from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
@@ -245,17 +245,15 @@ class TestCluster:
         assert report["eps_used"] == eps
         assert report["eta_used"] == eta
         w = gaussian_product_affinity(models, eps, eta).toarray()
-        np.fill_diagonal(w, 0.0)
         assert report["n_edges"] == np.count_nonzero(w) // 2
-        assert report["n_components"] == csgraph_components(w > 0, directed=False)[0]
-        # the smallest entry is about 1e-250: the graph is one component over
-        # its positive entries and two above the weight floor
-        assert report["n_components"] == 1
-        assert report["n_components_floor"] == 2 == csgraph_components(
-            w > 1e-16, directed=False)[0]
-        assert len(report["eigenvalues"]) == 3
-        assert report["eigengap"] == report["eigenvalues"][1] - report["eigenvalues"][2]
-        assert report["kmeans_inertia"] >= 0
+        assert report["n_isolated"] == 0
+        # entries near 1e-250 once joined the two segments into one
+        # component; no stored entry is below exp(-6.1^2), so the stored
+        # graph has two components, which are the clusters, and no
+        # eigensolver runs
+        assert report["n_components"] == 2 == csgraph_components(w > 0, directed=False)[0]
+        assert report["eigenvalues"] is report["eigengap"] is None
+        assert report["kmeans_inertia"] is None
 
     def test_algorithm_failure_exit_1(self, tmp_path, capsys):
         data = tmp_path / "seg.csv"
@@ -301,9 +299,9 @@ class TestAffinityVariants:
                       "--eps", 0.9, "--eta", 0.95, "--seed", 6, "--out", out])
         assert rc == 0
 
-    def test_alg4_indicator_affinity_can_isolate(self, tmp_path, capsys):
-        # tight indicator scales produce a zero-degree center, which the
-        # spectral step rejects: algorithm failure, exit status 1
+    def test_alg4_indicator_affinity_can_isolate(self, tmp_path):
+        # tight indicator scales produce zero-degree centers, which take
+        # the label of their nearest linked center
         data = tmp_path / "cross.csv"
         run_cli(["generate", "--dataset", "two_segments", "--n", 800,
                  "--tau", 0.01, "--seed", 4, "--out", data])
@@ -311,8 +309,10 @@ class TestAffinityVariants:
                       "--k", 2, "--d", 1, "--affinity", "proj",
                       "--eta", 0.05, "--seed", 6,
                       "--out", tmp_path / "x.csv"])
-        assert rc == 1
-        assert "IsolatedNode" in capsys.readouterr().err
+        assert rc == 0
+        report = json.loads((tmp_path / "x.csv.report.json").read_text())
+        assert report["n_isolated"] >= 1
+        assert sum(report["cluster_sizes"]) == 800
 
     def test_njw_baseline_runs(self, tmp_path):
         data = tmp_path / "cross.csv"
@@ -369,6 +369,23 @@ class TestExperiment:
         assert run_cli(base + ["--threads", 1, "--out", a]) == 0
         assert run_cli(base + ["--threads", 4, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_byte_identical_with_sparse_eigensolver(self, tmp_path, monkeypatch):
+        # about 380 centers in one component: alg4 solves with eigsh
+        sizes = []
+        eigsh = cluster.eigsh
+        monkeypatch.setattr(cluster, "eigsh",
+                            lambda op, **kw: sizes.append(op.shape[0]) or eigsh(op, **kw))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        base = ["experiment", "--dataset", "two_segments", "--n", 4000,
+                "--tau", 0.01, "--method", "alg4", "--r", 0.012, "--k", 2,
+                "--d", 1, "--trials", 4, "--seed", 13]
+        assert run_cli(base + ["--threads", 1, "--out", a]) == 0
+        solved = len(sizes)
+        assert run_cli(base + ["--threads", 2, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert solved > 0 and len(sizes) == 2 * solved and min(sizes) >= 256
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "env.json"

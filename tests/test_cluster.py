@@ -5,9 +5,18 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmcluster import cluster
-from mmcluster.affinity import ScaleParams, pairwise_diff_norms
+from mmcluster.affinity import (
+    ScaleParams,
+    auto_epsilon,
+    auto_eta,
+    distance_gaussian_affinity,
+    gaussian_product_affinity,
+    pairwise_diff_norms,
+    proj_indicator_affinity,
+)
 from mmcluster.cluster import (
     algorithm2_cov_components,
     algorithm3_proj_components,
@@ -20,7 +29,7 @@ from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
 from mmcluster.evaluation import misclustering_rate
 from mmcluster.local_pca import batch_local_models
-from mmcluster.neighborhoods import PointCloud, build_index
+from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
 from mmcluster.seeding import derive_seed
 from test_acceptance import _random_block_affinity
 
@@ -43,18 +52,28 @@ def normalized(w):
     return w / np.sqrt(np.outer(d, d))
 
 
-def alg4_center_graph(monkeypatch):
-    """The sparse center affinity that alg4 hands to njw_partition on a
-    600-point crossing."""
-    graphs = []
-    partition = cluster.njw_partition
-    with monkeypatch.context() as m:
-        m.setattr(cluster, "njw_partition",
-                  lambda w, k, rng: graphs.append(w) or partition(w, k, rng))
-        algorithm4_local_pca_spectral(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 2, 1,
-                                      np.random.default_rng(5))
-    assert len(graphs) == 1 and sparse.issparse(graphs[0])
-    return graphs[0]
+def center_affinity(cloud, r, seed, kind="gauss", eta=None):
+    """The sparse center affinity that alg4 builds on ``cloud`` (d = 1,
+    automatic eps, and automatic eta unless given) with the generator of
+    seed ``seed``."""
+    rng = np.random.default_rng(seed)
+    index = build_index(cloud)
+    centers = subsample_centers(index, r, rng)
+    y = cloud.coords[centers]
+    eps = auto_epsilon(y)
+    if kind == "distance":
+        return distance_gaussian_affinity(y, eps)
+    models = batch_local_models(cloud, index, centers, r, d=1)
+    eta = max(auto_eta(models, eps), 1e-12) if eta is None else eta
+    if kind == "proj":
+        return proj_indicator_affinity(models, eps, eta)
+    return gaussian_product_affinity(models, eps, eta)
+
+
+def alg4_center_graph():
+    """The sparse center affinity of alg4 on a 600-point crossing: two
+    components, no isolated center."""
+    return center_affinity(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 5)
 
 
 # _SUBSET_MIN values that send every graph down one eigensolver branch
@@ -232,7 +251,7 @@ class TestNJW:
         # the criterion-6 affinities and one sparse center graph of alg4,
         # each with eigenvector columns negated at random, on both branches
         cases = criterion6_affinities()
-        cases.append((alg4_center_graph(monkeypatch), 2, 17))
+        cases.append((alg4_center_graph(), 2, 17))
         flips = np.random.default_rng(0)
         for branch, module in (("full", np.linalg), ("subset", scipy.linalg)):
             monkeypatch.setattr(cluster, "_SUBSET_MIN", BRANCHES[branch])
@@ -260,7 +279,7 @@ class TestNJW:
         rng = np.random.default_rng(31)
         cases = criterion6_affinities()
         cases += [(_random_block_affinity(rng, 400, k), k, 40 + k) for k in (2, 3)]
-        cases.append((alg4_center_graph(monkeypatch), 2, 17))
+        cases.append((alg4_center_graph(), 2, 17))
         got = {}
         for branch, size in BRANCHES.items():
             monkeypatch.setattr(cluster, "_SUBSET_MIN", size)
@@ -287,7 +306,7 @@ class TestNJW:
         rng = np.random.default_rng(8)
         cases = [(w, k) for w, k, _ in criterion6_affinities()[:40]]
         cases += [(_random_block_affinity(rng, 300, 3), 3),
-                  (alg4_center_graph(monkeypatch), 2),
+                  (alg4_center_graph(), 2),
                   (np.ones((2, 2)), 2)]
         for w, k in cases:
             info = njw_partition(w, k, np.random.default_rng(0)).info
@@ -298,6 +317,16 @@ class TestNJW:
             else:
                 assert info["eigengap"] is None
             assert info["kmeans_inertia"] >= 0
+
+    def test_tiny_weights_do_not_underflow(self):
+        # the degree product 1e-200 * 1e-200 underflows to 0; scaling by
+        # d^-1/2 rows and then columns does not
+        w = np.array([[0.0, 1e-200, 0.0], [1e-200, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        for w in (w, sparse.coo_array(w)):
+            lab = njw_partition(w, 2, np.random.default_rng(0))
+            np.testing.assert_array_equal(lab.assignments, [1, 2, 2])
+            np.testing.assert_allclose(lab.info["eigenvalues"], [1.0, 0.0, -1.0],
+                                       rtol=0, atol=1e-12)
 
     def test_inputs_unchanged(self):
         w = _random_block_affinity(np.random.default_rng(3), 9, 2)
@@ -321,6 +350,136 @@ class TestNJW:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             njw_partition(np.zeros((0, 0)), 1, np.random.default_rng(0))
+
+
+def zero_diagonal(w):
+    """The sparse form of a dense affinity, diagonal dropped, as the
+    affinity functions store it."""
+    w = np.array(w, dtype=float)
+    np.fill_diagonal(w, 0.0)
+    return sparse.coo_array(w)
+
+
+def spies(monkeypatch):
+    """Count the calls alg4's spectral step makes to njw_partition and to
+    eigsh, forwarding each."""
+    calls = {"njw_partition": [], "eigsh": []}
+    for name in calls:
+        real = getattr(cluster, name)
+        monkeypatch.setattr(cluster, name, lambda *a, _real=real, _log=calls[name], **kw:
+                            _log.append(a[0].shape) or _real(*a, **kw))
+    return calls
+
+
+def partition(w, k, seed, y=None):
+    """alg4's spectral step on the sparse affinity ``w`` of n centers at
+    ``y`` (all at the origin by default)."""
+    y = np.zeros((w.shape[0], 1)) if y is None else y
+    return cluster._partition_centers(w, y, k, np.random.default_rng(seed))
+
+
+class TestCenterPartition:
+    """alg4's spectral step: components, the deflated sparse solve, the
+    dense path and isolated centers."""
+
+    @staticmethod
+    def cases(rng):
+        """(w, k, c) on at least 256 nodes with c < k components."""
+        segments = generate(DatasetSpec("two_segments", n_per_cluster=2000, tau=0.01, seed=1))
+        return [(zero_diagonal(_random_block_affinity(rng, 400, 2)), 2, 1),
+                (zero_diagonal(_random_block_affinity(rng, 400, 3)), 3, 1),
+                (zero_diagonal(scipy.linalg.block_diag(_random_block_affinity(rng, 200, 2),
+                                                       _random_block_affinity(rng, 150, 1))),
+                 3, 2),
+                (center_affinity(segments, 0.012, 3), 2, 1)]
+
+    def test_sparse_and_dense_solves_give_identical_labels(self, monkeypatch):
+        cases = self.cases(np.random.default_rng(12))
+        calls = spies(monkeypatch)
+        got = {}
+        for branch, size in (("sparse", cluster._SUBSET_MIN), ("dense", math.inf)):
+            monkeypatch.setattr(cluster, "_SUBSET_MIN", size)
+            got[branch] = [partition(w, k, 40 + k) for w, k, _ in cases]
+        assert len(calls["eigsh"]) == len(calls["njw_partition"]) == len(cases)
+        for (w, k, c), (sparse_labels, sparse_info), (dense_labels, dense_info) in zip(
+                cases, got["sparse"], got["dense"]):
+            assert w.shape[0] >= 256 and sparse_info["n_components"] == c
+            np.testing.assert_array_equal(sparse_labels, dense_labels)
+            np.testing.assert_allclose(sparse_info["eigenvalues"], dense_info["eigenvalues"],
+                                       rtol=0, atol=1e-12)
+            assert sparse_info["eigenvalues"][:c] == [1.0] * c
+            assert len(sparse_info["eigenvalues"]) == k + 1
+            assert sparse_info["kmeans_inertia"] == pytest.approx(
+                dense_info["kmeans_inertia"], rel=1e-6, abs=1e-12)
+
+    def test_components_are_the_clusters(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        blocks = [_random_block_affinity(rng, n, 1) for n in (5, 300, 9)]
+        cases = [(alg4_center_graph(), 2), (zero_diagonal(scipy.linalg.block_diag(*blocks)), 3)]
+        want = [njw_partition(w, k, np.random.default_rng(0)).assignments for w, k in cases]
+        calls = spies(monkeypatch)
+        for (w, k), labels in zip(cases, want):
+            got, info = partition(w, k, 0)
+            np.testing.assert_array_equal(got, labels)
+            assert info["n_components"] == k
+            assert info["eigenvalues"] is info["eigengap"] is info["kmeans_inertia"] is None
+        assert calls == {"njw_partition": [], "eigsh": []}
+
+    def test_more_components_than_clusters_reach_njw_partition(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        w = zero_diagonal(scipy.linalg.block_diag(
+            *[_random_block_affinity(rng, n, 1) for n in (100, 120, 140)]))
+        want = njw_partition(w, 2, np.random.default_rng(3))
+        calls = spies(monkeypatch)
+        got, info = partition(w, 2, 3)
+        assert calls == {"njw_partition": [(360, 360)], "eigsh": []}
+        np.testing.assert_array_equal(got, want.assignments)
+        assert info["n_components"] == 3 and info["eigenvalues"] == want.info["eigenvalues"]
+
+    @pytest.mark.parametrize("k, extra", [(2, 6), (3, 6), (2, 10**6)])
+    def test_complete_graph_eigenvalues(self, k, extra, monkeypatch):
+        # every eigenvalue but the top one is -1/299, below the deflated 0
+        # of the unshifted operator; ARPACK is asked for at most 299 pairs
+        w = np.ones((300, 300))
+        monkeypatch.setattr(cluster, "_LANCZOS_EXTRA", extra)
+        calls = spies(monkeypatch)
+        _, info = partition(zero_diagonal(w), k, 0)
+        assert len(calls["eigsh"]) == 1
+        np.fill_diagonal(w, 0.0)
+        want = np.linalg.eigvalsh(normalized(w))[::-1][:k + 1]
+        np.testing.assert_allclose(info["eigenvalues"], want, rtol=0, atol=1e-12)
+
+    def test_arpack_failure_falls_back_to_njw_partition(self, monkeypatch):
+        cases = self.cases(np.random.default_rng(15))
+        want = [njw_partition(w, k, np.random.default_rng(7)) for w, k, _ in cases]
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(cluster, "eigsh", no_convergence)
+        calls = spies(monkeypatch)
+        for (w, k, _), lab in zip(cases, want):
+            got, info = partition(w, k, 7)
+            np.testing.assert_array_equal(got, lab.assignments)
+            assert {key: info[key] for key in lab.info} == lab.info
+        assert len(calls["eigsh"]) == len(calls["njw_partition"]) == len(cases)
+
+    def test_isolated_centers_join_nearest_linked_center(self):
+        # centers 0-2 and 4-6 are two linked triangles on a line; 3 and 7
+        # have no stored pair, 3 lies nearer to 4 and 7 nearer to 2
+        edges = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)]
+        i, j = np.array(edges).T
+        w = sparse.coo_array((np.ones(12), (np.r_[i, j], np.r_[j, i])), shape=(8, 8))
+        y = np.array([[0.0], [1.0], [2.0], [3.6], [4.0], [5.0], [6.0], [2.5]])
+        labels, info = partition(w, 2, 0, y)
+        np.testing.assert_array_equal(labels, [1, 1, 1, 2, 2, 2, 2, 1])
+        assert (info["n_isolated"], info["n_components"], info["n_edges"]) == (2, 2, 6)
+
+    def test_too_few_linked_centers(self):
+        w = sparse.coo_array(([1.0, 1.0], ([0, 1], [1, 0])), shape=(4, 4))
+        assert partition(w, 2, 0)[1]["n_isolated"] == 2
+        with pytest.raises(TooFewCenters):
+            partition(w, 3, 0)
 
 
 THEOREM1_PARAMS = ScaleParams(r=0.05, eps=0.25, eta=0.12)
@@ -461,40 +620,39 @@ class TestAlgorithm4:
         assert sum(info["cluster_sizes"]) == cloud.n
 
     @pytest.mark.parametrize("kind", ["gauss", "distance", "proj"])
-    def test_info_counts_affinity_graph(self, kind, monkeypatch):
-        seen = []
-        partition = cluster.njw_partition
-        monkeypatch.setattr(cluster, "njw_partition",
-                            lambda w, k, rng: seen.append(w) or partition(w, k, rng))
+    def test_info_counts_affinity_graph(self, kind):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
         lab = algorithm4_local_pca_spectral(cloud, 0.06, 2, 1, np.random.default_rng(0),
                                             eta=0.5, affinity_kind=kind)
-        w = seen[0].toarray()
-        off = w > 0
-        np.fill_diagonal(off, False)
-        assert lab.info["n_edges"] == off.sum() // 2 > 0
-        assert lab.info["n_components"] == connected_components(off, directed=False)[0]
-        assert lab.info["n_components_floor"] == connected_components(
-            off & (w > 1e-16), directed=False)[0]
-        want = np.linalg.eigvalsh(normalized(seen[0]))[:-4:-1]
+        w = center_affinity(cloud, 0.06, 0, kind, eta=0.5).toarray()
+        stored = w > 0
+        linked = stored.any(axis=1)
+        sub = w[np.ix_(linked, linked)]
+        assert lab.info["n_edges"] == stored.sum() // 2 > 0
+        assert lab.info["n_isolated"] == (~linked).sum()
+        assert lab.info["n_components"] == connected_components(sub > 0, directed=False)[0]
+        want = np.linalg.eigvalsh(normalized(sub))[:-4:-1]
         np.testing.assert_allclose(lab.info["eigenvalues"], want, rtol=0, atol=1e-12)
 
     def test_info_keys_do_not_depend_on_path(self):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)
         one = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))
         base = njw_baseline(cloud, 0.06, 2, np.random.default_rng(0))
+        components = algorithm4_local_pca_spectral(crossing_cloud(seed=4, n=600, tau=0.01),
+                                                   0.1, 2, 1, np.random.default_rng(5))
         single = algorithm4_local_pca_spectral(one, 5.0, 1, 1, np.random.default_rng(0))
         assert base.info["eps"] > 0 and base.info["eta"] is None
         assert single.info["n_centers"] == 1 and single.info["cluster_sizes"] == [2]
         assert single.info["n_edges"] == 0 and single.info["n_components"] == 1
-        assert single.info["n_components_floor"] == 1
+        assert single.info["n_isolated"] == 0
         assert len(base.info["eigenvalues"]) == 3 and base.info["kmeans_inertia"] >= 0
-        assert single.info["eigenvalues"] is single.info["eigengap"] is None
-        assert single.info["kmeans_inertia"] is None
-        assert set(base.info) == set(single.info) == {
+        assert components.info["n_components"] == 2
+        for lab in (single, components):
+            assert lab.info["eigenvalues"] is lab.info["eigengap"] is None
+            assert lab.info["kmeans_inertia"] is None
+        assert set(base.info) == set(components.info) == set(single.info) == {
             "eps", "eta", "n_centers", "center_indices", "n_edges", "n_components",
-            "n_components_floor", "eigenvalues", "eigengap", "kmeans_inertia",
-            "cluster_sizes"}
+            "n_isolated", "eigenvalues", "eigengap", "kmeans_inertia", "cluster_sizes"}
 
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments
