@@ -53,8 +53,8 @@ class ScaleParams:
     eta: float
 
     def __post_init__(self):
-        if self.r <= 0 or self.eps <= 0 or self.eta <= 0:
-            raise InvalidInput("r, eps, eta must be positive")
+        if not all(0 < x < math.inf for x in (self.r, self.eps, self.eta)):
+            raise InvalidInput("r, eps, eta must be finite and positive")
 
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:

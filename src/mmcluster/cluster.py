@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import affinity as aff
@@ -51,15 +51,10 @@ _KMEANS_MAX_ITER = 100
 _KMEANS_TOL = 1e-8
 _KMEANS_RESTARTS = 10
 
-# From this many nodes on, njw_partition asks LAPACK's subset driver
-# (dsyevr) for the top K+1 eigenpairs only, which at n0 = 1400 takes half
-# the time of the full solve, and alg4 solves a center graph with fewer
-# components than clusters by a sparse Lanczos solve instead, with no
-# n0 x n0 array at all.  Smaller graphs keep NumPy's eigh: the first call
-# into SciPy's LAPACK maps about 1 MB of a second OpenBLAS, which is +40%
-# peak memory on a 2-3 MB run of small trials, while the full solve of a
-# 60-node graph takes under 1 ms.
-_SUBSET_MIN = 256
+# From this many nodes on, a graph with fewer components than clusters is
+# solved by a sparse Lanczos solve, with no n x n array; smaller graphs
+# keep NumPy's full eigh, which takes under 1 ms at 60 nodes.
+_SPARSE_MIN = 256
 
 # eigenpairs the sparse solve asks for beyond the K - c + 1 it uses.
 # ARPACK keeps the Ritz vectors it is asked for across restarts; on a
@@ -83,6 +78,7 @@ class Labeling:
     ``n_components`` of the other centers, and the spectral step's
     ``eigenvalues``, ``eigengap`` and ``kmeans_inertia`` (None where no
     eigensolver ran: one center, or as many components as clusters).
+    ``njw_partition`` fills the last four of these.
     """
 
     assignments: Array
@@ -169,45 +165,85 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     return best
 
 
-def _dense(w) -> Array:
-    """Dense copy of a ``scipy.sparse`` matrix; repeated entries add up."""
-    w = w.tocoo()
-    flat = np.ravel_multi_index((w.row, w.col), w.shape)
-    return np.bincount(flat, weights=w.data, minlength=w.shape[0] * w.shape[1]).reshape(w.shape)
+def _njw(m: int, row: Array, col: Array, data: Array, k: int,
+         rng: np.random.Generator) -> Labeling:
+    """NJW spectral clustering, into k <= m clusters, of the graph on m
+    nodes with the positive symmetric entries ``data`` at (``row``,
+    ``col``), each position stored once, and no zero-degree node.
 
+    The entries are scaled by d^-1/2, one side at a time (a product
+    d_i d_j could underflow), into M.  The graph's c components give the
+    top eigenvalue 1 of M the unit eigenvectors U = [u_C ~ D^1/2 1_C].
+    * c = k: the components are the clusters (exact NJW); no eigh, no k-means.
+    * c < k < m on m >= ``_SPARSE_MIN`` nodes: ``eigsh`` takes the next
+      k - c + 1 eigenpairs (and _LANCZOS_EXTRA more) as the top ones of
+      x -> Mx + x - 2 U U^T x, which sends the u_C to 0, below every
+      other eigenvalue of M + I.  The embedding is [U, the top k - c
+      vectors].  The start vector is fixed, not drawn from ``rng``, so
+      k-means sees the same generator state on both paths.
+    * otherwise, or when ARPACK does not converge: NumPy's full ``eigh``
+      of a dense M; the embedding is its top k eigenvectors.
+    Then k-means++ runs on the normalized rows of the embedding.  The
+    eigenvectors keep their solver's signs: k-means sees a column only
+    through squared differences and means, which a sign flip leaves exact.
 
-def _spectral_labeling(rows: Array, eigenvalues: list, k: int,
-                       rng: np.random.Generator) -> Labeling:
-    """The NJW tail: normalize the rows of the top-k embedding in place,
-    run k-means++ on them and number the clusters by first occurrence.
-    ``eigenvalues`` are the top min(k+1, n) ones, in descending order."""
+    ``info``: ``n_components`` c, the top min(k+1, m) ``eigenvalues`` in
+    descending order, the ``eigengap`` lambda_k - lambda_k+1 (None when
+    k = m) and the ``kmeans_inertia``; the last three are None when c = k.
+    """
+    ids = connected_components(m, np.column_stack([row, col]))
+    c = int(ids.max())
+    info = {"n_components": c, **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
+    if c == k:
+        return Labeling(assignments=ids, K_found=c, info=info)
+    degrees = np.bincount(row, weights=data, minlength=m)
+    scale = 1.0 / np.sqrt(degrees)
+    data = data * scale[row] * scale[col]
+    rows = None
+    if c < k < m and m >= _SPARSE_MIN:
+        mat = sparse.csr_array((data, (row, col)), shape=(m, m))
+        u = np.zeros((m, c))
+        u[np.arange(m), ids - 1] = np.sqrt(degrees)
+        u /= np.sqrt(np.bincount(ids - 1, weights=degrees, minlength=c))
+        op = LinearOperator((m, m), dtype=float,
+                            matvec=lambda x: mat @ x + x - 2.0 * (u @ (u.T @ x)))
+        try:
+            vals, vecs = eigsh(op, k=min(k - c + 1 + _LANCZOS_EXTRA, m - 1), which="LA",
+                               v0=np.cos(np.arange(m)))
+        except ArpackNoConvergence:
+            pass
+        else:
+            order = np.argsort(vals)[:-(k - c) - 2:-1]
+            rows = np.hstack([u, vecs[:, order[:k - c]]])
+            eigenvalues = [1.0] * c + (vals[order] - 1.0).tolist()
+    if rows is None:
+        # filled by NumPy, not scipy.sparse: the first sparse conversion
+        # maps about 0.5 MB of native code, +20% peak on a run of small graphs
+        dense = np.zeros((m, m))
+        dense[row, col] = data
+        vals, vecs = np.linalg.eigh(dense)
+        rows, eigenvalues = vecs[:, :-k-1:-1], vals[:-k-2:-1].tolist()
     norms = np.sqrt((rows * rows).sum(axis=1))
     ok = norms > 0
     rows[ok] /= norms[ok, None]
     res = kmeans_pp(rows, k, rng)
     labels, k_found = renumber_first_occurrence(res.assignments)
-    gap = eigenvalues[k - 1] - eigenvalues[k] if k < len(eigenvalues) else None
-    info = {"eigenvalues": eigenvalues, "eigengap": gap, "kmeans_inertia": res.inertia}
+    info.update(eigenvalues=eigenvalues, kmeans_inertia=res.inertia,
+                eigengap=eigenvalues[k - 1] - eigenvalues[k] if k < len(eigenvalues) else None)
     return Labeling(assignments=labels, K_found=k_found, info=info)
 
 
 def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
-    """Spectral graph partitioning of a symmetric nonnegative affinity,
-    dense or ``scipy.sparse``.  The input is copied once into a dense
-    array, whose rows and then columns are scaled in place by d^-1/2 (no
-    degree product, which could underflow), and which is handed to
-    ``eigh``: NumPy's full solve below ``_SUBSET_MIN`` nodes, LAPACK's
-    subset driver for the top K+1 eigenpairs from there on.
-
-    The eigenvectors keep the signs LAPACK gives them: k-means sees a
-    column only through squared differences and means, and negating the
-    column leaves every distance, draw and assignment exactly as it was.
-
-    ``info`` holds the top min(K+1, n) ``eigenvalues`` of the normalized
-    affinity in descending order, the ``eigengap`` lambda_K - lambda_K+1
-    (None when K = n) and the ``kmeans_inertia`` of the embedding.
+    """Spectral graph partitioning (Ng, Jordan & Weiss) of a symmetric
+    nonnegative affinity, dense or ``scipy.sparse``, whose diagonal holds
+    self-loops.  Checks one dense copy (repeated sparse entries add up),
+    leaving the caller's matrix as it was, and partitions its nonzero
+    entries with ``_njw``, which documents the solver rule and ``info``.
     """
-    w = _dense(w) if sparse.issparse(w) else np.array(w, dtype=float)
+    try:
+        w = np.asarray(w.toarray() if sparse.issparse(w) else w, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"affinity must be numeric: {exc}") from exc
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidInput("affinity must be square")
     if not np.all(np.isfinite(w)) or (w < 0).any():
@@ -220,56 +256,10 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     n = w.shape[0]
     if not 1 <= k <= n:
         raise InvalidInput(f"k={k} out of range for {n} nodes")
-    degrees = w.sum(axis=1)
-    if (degrees <= 0).any():
+    if (w.sum(axis=1) <= 0).any():
         raise IsolatedNode("affinity has a zero-degree node")
-    scale = 1.0 / np.sqrt(degrees)
-    w *= scale[:, None]
-    w *= scale
-    if n < _SUBSET_MIN:
-        vals, vecs = np.linalg.eigh(w)
-    else:
-        # w is symmetric, so w.T is the same matrix in Fortran order and
-        # LAPACK overwrites it without a copy
-        vals, vecs = linalg.eigh(w.T, subset_by_index=[max(n - k - 1, 0), n - 1],
-                                 overwrite_a=True, check_finite=False)
-    return _spectral_labeling(vecs[:, :-k-1:-1], vals[:-k-2:-1].tolist(), k, rng)
-
-
-def _deflated_partition(row: Array, col: Array, data: Array, ids: Array, k: int,
-                        rng: np.random.Generator) -> Labeling | None:
-    """NJW on a graph of m nodes given by its stored entries (no
-    zero-degree node) and its c < k components ``ids`` (1-based), with no
-    m x m array; k < m.
-
-    The top eigenvalue 1 of M = D^-1/2 W D^-1/2 has the c unit vectors
-    u_C ~ D^1/2 1_C as eigenvectors.  ``eigsh`` finds the next k - c + 1
-    eigenpairs (and _LANCZOS_EXTRA more, which it keeps across restarts)
-    as the top ones of x -> Mx + x - 2 U U^T x: the shift by
-    the identity sends the u_C to 0, below every other eigenvalue of
-    M + I, even on a graph whose other eigenvalues are negative.  The
-    embedding is [U, the top k - c vectors].  The start vector is fixed
-    and generic, and does not come from ``rng``, so k-means sees the same
-    generator state as on the dense path.  Returns None when ARPACK does
-    not converge.
-    """
-    m, c = ids.size, int(ids.max())
-    degrees = np.bincount(row, weights=data, minlength=m)
-    scale = 1.0 / np.sqrt(degrees)
-    mat = sparse.csr_array((data * scale[row] * scale[col], (row, col)), shape=(m, m))
-    u = np.zeros((m, c))
-    u[np.arange(m), ids - 1] = np.sqrt(degrees)
-    u /= np.sqrt(np.bincount(ids - 1, weights=degrees, minlength=c))
-    op = LinearOperator((m, m), dtype=float,
-                        matvec=lambda x: mat @ x + x - 2.0 * (u @ (u.T @ x)))
-    try:
-        vals, vecs = eigsh(op, k=min(k - c + 1 + _LANCZOS_EXTRA, m - 1), which="LA",
-                           v0=np.cos(np.arange(m)))
-    except ArpackNoConvergence:
-        return None
-    order = np.argsort(vals)[:-(k - c) - 2:-1]
-    rows = np.hstack([u, vecs[:, order[:k - c]]])
-    return _spectral_labeling(rows, [1.0] * c + (vals[order] - 1.0).tolist(), k, rng)
+    row, col = np.nonzero(w)
+    return _njw(n, row, col, w[row, col], k, rng)
 
 
 def _partition_centers(w: sparse.coo_array, y: Array, k: int,
@@ -278,13 +268,8 @@ def _partition_centers(w: sparse.coo_array, y: Array, k: int,
     ``w``, and the graph and spectral diagnostics.
 
     The centers with at least one stored entry are linked; there must be
-    at least k of them.  Their graph has c connected components:
-    * c = k: the components are the clusters, which is what NJW returns
-      in exact arithmetic; no eigensolver and no k-means run;
-    * c < k < m on m >= ``_SUBSET_MIN`` linked centers: the deflated
-      sparse solve of ``_deflated_partition``;
-    * otherwise, or when ARPACK does not converge: ``njw_partition``.
-    An isolated center takes the label of its nearest linked center.
+    at least k of them, and ``_njw`` partitions their graph.  An isolated
+    center takes the label of its nearest linked center.
     """
     n0 = w.shape[0]
     row, col, data = w.row, w.col, w.data
@@ -295,24 +280,13 @@ def _partition_centers(w: sparse.coo_array, y: Array, k: int,
     if m < n0:
         position = np.cumsum(linked) - 1
         row, col = position[row], position[col]
-    ids = connected_components(m, np.column_stack([row, col]))
-    c = int(ids.max())
-    info = {"n_edges": row.size // 2, "n_components": c, "n_isolated": n0 - m,
-            **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
-    if c == k:
-        labels = ids
-    else:
-        part = (_deflated_partition(row, col, data, ids, k, rng)
-                if c < k < m and m >= _SUBSET_MIN else None)
-        if part is None:
-            part = njw_partition(sparse.coo_array((data, (row, col)), shape=(m, m)), k, rng)
-        labels = part.assignments
-        info.update(part.info)
+    part = _njw(m, row, col, data, k, rng)
+    info = {"n_edges": row.size // 2, "n_isolated": n0 - m, **part.info}
     if m == n0:
-        return labels, info
+        return part.assignments, info
     out = np.empty(n0, dtype=int)
-    out[linked] = labels
-    out[~linked] = labels[nearest_site(y[~linked], y[linked])]
+    out[linked] = part.assignments
+    out[~linked] = part.assignments[nearest_site(y[~linked], y[linked])]
     return out, info
 
 

@@ -84,8 +84,8 @@ class DatasetSpec:
             raise UnknownDataset(f"unknown dataset {self.name!r}")
         if self.n_per_cluster < 1:
             raise InvalidInput("n_per_cluster must be >= 1")
-        if self.tau < 0:
-            raise InvalidInput("tau must be >= 0")
+        if not 0 <= self.tau < math.inf:
+            raise InvalidInput("tau must be finite and >= 0")
         if self.angle is not None:
             if self.name not in _ANGLE_DATASETS:
                 raise InvalidInput(f"{self.name} takes no angle parameter")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -60,8 +61,10 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in ("alg2", "alg3", "alg4", "njw_baseline"):
             raise InvalidInput(f"unknown method {self.method!r}")
-        if self.r <= 0:
-            raise InvalidInput("r must be positive")
+        for name in ("r", "eps", "eta", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise InvalidInput(f"{name} must be finite and positive")
         if self.method in ("alg2", "alg3") and (self.eps is None or self.eta is None):
             raise InvalidInput(f"{self.method} requires explicit eps and eta")
         if self.method == "alg3" and not (0 < self.eta < 1):

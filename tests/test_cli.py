@@ -271,6 +271,28 @@ class TestCluster:
         assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--method", "alg2", "--r", 0.1, "--eps", "nan", "--eta", 0.22],
+    ["--method", "alg3", "--r", 0.1, "--eps", "nan", "--eta", 0.22],
+    ["--method", "alg4", "--r", 0.1, "--k", 2, "--d", 1, "--eps", "nan"],
+    ["--method", "alg4", "--r", 0.1, "--k", 2, "--d", 1, "--eps", -0.2, "--affinity", "cov"],
+    ["--method", "alg4", "--r", 0.1, "--k", 2, "--d", 1, "--alpha", "nan", "--affinity", "wang"],
+    ["--method", "alg4", "--r", "inf", "--k", 2, "--d", 1],
+    ["generate", "--dataset", "two_segments", "--n", 400, "--tau", "nan"],
+])
+def test_malformed_scale_exit_2(tmp_path, capsys, args):
+    # a NaN fails every comparison, so a scale test of the form "< 0"
+    # lets it through to the algorithm
+    data = tmp_path / "seg.csv"
+    segment_csv(data, n=200)
+    out = tmp_path / "x.csv"
+    argv = ([*args, "--out", out] if args[0] == "generate"
+            else ["cluster", data, *args, "--out", out])
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestAffinityVariants:
     @pytest.mark.parametrize("kind", ["wang", "gong"])
     def test_alg4_with_alternative_affinity(self, tmp_path, kind):

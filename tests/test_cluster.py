@@ -29,7 +29,12 @@ from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
 from mmcluster.evaluation import misclustering_rate
 from mmcluster.local_pca import batch_local_models
-from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
+from mmcluster.neighborhoods import (
+    PointCloud,
+    build_index,
+    renumber_first_occurrence,
+    subsample_centers,
+)
 from mmcluster.seeding import derive_seed
 from test_acceptance import _random_block_affinity
 
@@ -76,8 +81,10 @@ def alg4_center_graph():
     return center_affinity(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 5)
 
 
-# _SUBSET_MIN values that send every graph down one eigensolver branch
-BRANCHES = {"full": math.inf, "subset": 1}
+def baseline_center_graph():
+    """The sparse center affinity of the baseline on the same crossing:
+    one component of 32 centers."""
+    return center_affinity(crossing_cloud(seed=4, n=600, tau=0.01), 0.1, 5, kind="distance")
 
 
 def criterion6_affinities():
@@ -248,61 +255,48 @@ class TestNJW:
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
     def test_labels_ignore_eigenvector_signs(self, monkeypatch):
-        # the criterion-6 affinities and one sparse center graph of alg4,
-        # each with eigenvector columns negated at random, on both branches
+        # the criterion-6 affinities and one connected center graph of the
+        # baseline, each with eigenvector columns negated at random
         cases = criterion6_affinities()
-        cases.append((alg4_center_graph(), 2, 17))
+        cases.append((baseline_center_graph(), 2, 17))
+        want = [njw_partition(w, k, np.random.default_rng(seed)).assignments
+                for w, k, seed in cases]
         flips = np.random.default_rng(0)
-        for branch, module in (("full", np.linalg), ("subset", scipy.linalg)):
-            monkeypatch.setattr(cluster, "_SUBSET_MIN", BRANCHES[branch])
-            want = [njw_partition(w, k, np.random.default_rng(seed)).assignments
-                    for w, k, seed in cases]
-            eigh = module.eigh
-            flipped = []
+        eigh = np.linalg.eigh
+        flipped = []
 
-            def eigh_random_signs(a, *args, **kwargs):
-                vals, vecs = eigh(a, *args, **kwargs)
-                signs = flips.choice([-1.0, 1.0], size=vecs.shape[1])
-                flipped.append((signs < 0).sum())
-                return vals, vecs * signs
+        def eigh_random_signs(a):
+            vals, vecs = eigh(a)
+            signs = flips.choice([-1.0, 1.0], size=vecs.shape[1])
+            flipped.append((signs < 0).sum())
+            return vals, vecs * signs
 
-            with monkeypatch.context() as m:
-                m.setattr(module, "eigh", eigh_random_signs)
-                for (w, k, seed), labels in zip(cases, want):
-                    got = njw_partition(w, k, np.random.default_rng(seed))
-                    np.testing.assert_array_equal(got.assignments, labels)
-            assert len(flipped) == len(cases) and sum(flipped) > 0
+        monkeypatch.setattr(np.linalg, "eigh", eigh_random_signs)
+        for (w, k, seed), labels in zip(cases, want):
+            got = njw_partition(w, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got.assignments, labels)
+        assert len(flipped) == len(cases) and sum(flipped) > 0
 
     def test_branches_give_identical_labels(self, monkeypatch):
-        # the full and the subset solve on the criterion-6 affinities, on
+        # the dense and the sparse solve on the criterion-6 affinities, on
         # dense block affinities of 400 nodes and on an alg4 center graph
         rng = np.random.default_rng(31)
         cases = criterion6_affinities()
         cases += [(_random_block_affinity(rng, 400, k), k, 40 + k) for k in (2, 3)]
         cases.append((alg4_center_graph(), 2, 17))
+        calls = spies(monkeypatch)
         got = {}
-        for branch, size in BRANCHES.items():
-            monkeypatch.setattr(cluster, "_SUBSET_MIN", size)
+        for branch, size in (("dense", math.inf), ("sparse", cluster._SPARSE_MIN)):
+            monkeypatch.setattr(cluster, "_SPARSE_MIN", size)
             got[branch] = [njw_partition(w, k, np.random.default_rng(seed))
                            for w, k, seed in cases]
-        for full, subset in zip(got["full"], got["subset"]):
-            np.testing.assert_array_equal(full.assignments, subset.assignments)
-            assert full.info["kmeans_inertia"] == pytest.approx(
-                subset.info["kmeans_inertia"], rel=1e-6, abs=1e-12)
+        assert len(calls["eigsh"]) == 2
+        for dense, sparse_ in zip(got["dense"], got["sparse"]):
+            np.testing.assert_array_equal(dense.assignments, sparse_.assignments)
+            assert dense.info["kmeans_inertia"] == pytest.approx(
+                sparse_.info["kmeans_inertia"], rel=1e-6, abs=1e-12)
 
-    def test_subset_solve_from_256_nodes(self, monkeypatch):
-        calls = []
-        eigh = scipy.linalg.eigh
-        monkeypatch.setattr(scipy.linalg, "eigh",
-                            lambda a, **kwargs: calls.append(len(a)) or eigh(a, **kwargs))
-        rng = np.random.default_rng(6)
-        for n in (255, 256):
-            njw_partition(_random_block_affinity(rng, n, 2), 2, np.random.default_rng(0))
-        assert calls == [256]
-
-    @pytest.mark.parametrize("branch", sorted(BRANCHES))
-    def test_eigenvalues_match_eigvalsh(self, branch, monkeypatch):
-        monkeypatch.setattr(cluster, "_SUBSET_MIN", BRANCHES[branch])
+    def test_eigenvalues_match_eigvalsh(self):
         rng = np.random.default_rng(8)
         cases = [(w, k) for w, k, _ in criterion6_affinities()[:40]]
         cases += [(_random_block_affinity(rng, 300, 3), 3),
@@ -310,6 +304,9 @@ class TestNJW:
                   (np.ones((2, 2)), 2)]
         for w, k in cases:
             info = njw_partition(w, k, np.random.default_rng(0)).info
+            if info["n_components"] == k:
+                assert info["eigenvalues"] is info["eigengap"] is info["kmeans_inertia"] is None
+                continue
             want = np.linalg.eigvalsh(normalized(w))[::-1][:k + 1]
             np.testing.assert_allclose(info["eigenvalues"], want, rtol=0, atol=1e-12)
             if k < len(want):
@@ -351,6 +348,11 @@ class TestNJW:
         with pytest.raises(InvalidInput):
             njw_partition(np.zeros((0, 0)), 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("cell", ["a", {}])
+    def test_non_numeric_rejected(self, cell):
+        with pytest.raises(InvalidInput):
+            njw_partition([[1, cell], [1, 1]], 1, np.random.default_rng(0))
+
 
 def zero_diagonal(w):
     """The sparse form of a dense affinity, diagonal dropped, as the
@@ -361,14 +363,31 @@ def zero_diagonal(w):
 
 
 def spies(monkeypatch):
-    """Count the calls alg4's spectral step makes to njw_partition and to
-    eigsh, forwarding each."""
-    calls = {"njw_partition": [], "eigsh": []}
-    for name in calls:
-        real = getattr(cluster, name)
-        monkeypatch.setattr(cluster, name, lambda *a, _real=real, _log=calls[name], **kw:
+    """Count the calls the NJW core makes to NumPy's eigh and to eigsh,
+    forwarding each."""
+    calls = {"eigh": [], "eigsh": []}
+    for module, name in ((np.linalg, "eigh"), (cluster, "eigsh")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _log=calls[name], **kw:
                             _log.append(a[0].shape) or _real(*a, **kw))
     return calls
+
+
+def dense_njw(w, k, seed):
+    """NJW written out on the dense normalized affinity: the top k
+    eigenvectors, unit rows, k-means++, labels by first occurrence."""
+    rows = np.linalg.eigh(normalized(w))[1][:, ::-1][:, :k]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    assignments = kmeans_pp(rows, k, np.random.default_rng(seed)).assignments
+    return renumber_first_occurrence(assignments)[0]
+
+
+def assert_same_spectrum(info, want):
+    """Equal component counts, and the eigenvalues and the k-means inertia
+    of two solves that may sum the stored entries in another order."""
+    assert info["n_components"] == want["n_components"]
+    np.testing.assert_allclose(info["eigenvalues"], want["eigenvalues"], rtol=0, atol=1e-12)
+    assert info["kmeans_inertia"] == pytest.approx(want["kmeans_inertia"], rel=1e-6, abs=1e-12)
 
 
 def partition(w, k, seed, y=None):
@@ -397,33 +416,30 @@ class TestCenterPartition:
         cases = self.cases(np.random.default_rng(12))
         calls = spies(monkeypatch)
         got = {}
-        for branch, size in (("sparse", cluster._SUBSET_MIN), ("dense", math.inf)):
-            monkeypatch.setattr(cluster, "_SUBSET_MIN", size)
+        for branch, size in (("sparse", cluster._SPARSE_MIN), ("dense", math.inf)):
+            monkeypatch.setattr(cluster, "_SPARSE_MIN", size)
             got[branch] = [partition(w, k, 40 + k) for w, k, _ in cases]
-        assert len(calls["eigsh"]) == len(calls["njw_partition"]) == len(cases)
+        assert len(calls["eigsh"]) == len(calls["eigh"]) == len(cases)
         for (w, k, c), (sparse_labels, sparse_info), (dense_labels, dense_info) in zip(
                 cases, got["sparse"], got["dense"]):
             assert w.shape[0] >= 256 and sparse_info["n_components"] == c
             np.testing.assert_array_equal(sparse_labels, dense_labels)
-            np.testing.assert_allclose(sparse_info["eigenvalues"], dense_info["eigenvalues"],
-                                       rtol=0, atol=1e-12)
+            assert_same_spectrum(sparse_info, dense_info)
             assert sparse_info["eigenvalues"][:c] == [1.0] * c
             assert len(sparse_info["eigenvalues"]) == k + 1
-            assert sparse_info["kmeans_inertia"] == pytest.approx(
-                dense_info["kmeans_inertia"], rel=1e-6, abs=1e-12)
 
     def test_components_are_the_clusters(self, monkeypatch):
         rng = np.random.default_rng(13)
         blocks = [_random_block_affinity(rng, n, 1) for n in (5, 300, 9)]
         cases = [(alg4_center_graph(), 2), (zero_diagonal(scipy.linalg.block_diag(*blocks)), 3)]
-        want = [njw_partition(w, k, np.random.default_rng(0)).assignments for w, k in cases]
+        want = [dense_njw(w, k, 0) for w, k in cases]
         calls = spies(monkeypatch)
         for (w, k), labels in zip(cases, want):
             got, info = partition(w, k, 0)
             np.testing.assert_array_equal(got, labels)
             assert info["n_components"] == k
             assert info["eigenvalues"] is info["eigengap"] is info["kmeans_inertia"] is None
-        assert calls == {"njw_partition": [], "eigsh": []}
+        assert calls == {"eigh": [], "eigsh": []}
 
     def test_more_components_than_clusters_reach_njw_partition(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -432,7 +448,7 @@ class TestCenterPartition:
         want = njw_partition(w, 2, np.random.default_rng(3))
         calls = spies(monkeypatch)
         got, info = partition(w, 2, 3)
-        assert calls == {"njw_partition": [(360, 360)], "eigsh": []}
+        assert calls == {"eigh": [(360, 360)], "eigsh": []}
         np.testing.assert_array_equal(got, want.assignments)
         assert info["n_components"] == 3 and info["eigenvalues"] == want.info["eigenvalues"]
 
@@ -450,8 +466,11 @@ class TestCenterPartition:
         np.testing.assert_allclose(info["eigenvalues"], want, rtol=0, atol=1e-12)
 
     def test_arpack_failure_falls_back_to_njw_partition(self, monkeypatch):
+        # the fallback is njw_partition's dense path
         cases = self.cases(np.random.default_rng(15))
-        want = [njw_partition(w, k, np.random.default_rng(7)) for w, k, _ in cases]
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_SPARSE_MIN", math.inf)
+            want = [njw_partition(w, k, np.random.default_rng(7)) for w, k, _ in cases]
 
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
@@ -461,8 +480,18 @@ class TestCenterPartition:
         for (w, k, _), lab in zip(cases, want):
             got, info = partition(w, k, 7)
             np.testing.assert_array_equal(got, lab.assignments)
-            assert {key: info[key] for key in lab.info} == lab.info
-        assert len(calls["eigsh"]) == len(calls["njw_partition"]) == len(cases)
+            assert_same_spectrum(info, lab.info)
+        assert len(calls["eigsh"]) == len(calls["eigh"]) == len(cases)
+
+    def test_njw_partition_matches_center_partition(self):
+        # the public entry point and alg4's spectral step share one core
+        cases = [(w, k, 40 + k) for w, k, _ in self.cases(np.random.default_rng(16))]
+        cases += criterion6_affinities()
+        for w, k, seed in cases:
+            lab = njw_partition(w, k, np.random.default_rng(seed))
+            labels, info = partition(sparse.coo_array(w), k, seed)
+            np.testing.assert_array_equal(labels, lab.assignments)
+            assert_same_spectrum(info, lab.info)
 
     def test_isolated_centers_join_nearest_linked_center(self):
         # centers 0-2 and 4-6 are two linked triangles on a line; 3 and 7
