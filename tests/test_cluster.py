@@ -296,7 +296,12 @@ class TestNJW:
             assert dense.info["kmeans_inertia"] == pytest.approx(
                 sparse_.info["kmeans_inertia"], rel=1e-6, abs=1e-12)
 
-    def test_eigenvalues_match_eigvalsh(self):
+    # "full": NumPy's full eigh on every graph; "subset": the sparse solve of
+    # the top eigenpairs on every graph with fewer components than clusters
+    @pytest.mark.parametrize("branch", ["full", "subset"])
+    def test_eigenvalues_match_eigvalsh(self, branch, monkeypatch):
+        monkeypatch.setattr(cluster, "_SPARSE_MIN", math.inf if branch == "full" else 1)
+        calls = spies(monkeypatch)
         rng = np.random.default_rng(8)
         cases = [(w, k) for w, k, _ in criterion6_affinities()[:40]]
         cases += [(_random_block_affinity(rng, 300, 3), 3),
@@ -314,6 +319,7 @@ class TestNJW:
             else:
                 assert info["eigengap"] is None
             assert info["kmeans_inertia"] >= 0
+        assert bool(calls["eigsh"]) == (branch == "subset")
 
     def test_tiny_weights_do_not_underflow(self):
         # the degree product 1e-200 * 1e-200 underflows to 0; scaling by
