@@ -1,7 +1,9 @@
 """Pairwise affinities between local models, and automatic scale selection.
 
-Matrix discrepancies default to the spectral norm; a Frobenius mode is
-available everywhere through ``norm="frobenius"``.  Every affinity is a
+Matrix discrepancies default to the spectral norm; the indicator kinds
+and ``indicator_pairs`` also take ``norm="frobenius"``, which alg2 and
+alg3 pass on, while the center-graph pipelines compare in the spectral
+norm only.  Every scale must be finite and positive.  Every affinity is a
 symmetric ``scipy.sparse`` COO matrix that stores exactly its off-diagonal
 entries of weight at least exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF = 6.1:
 no diagonal (NJW's A_ii = 0) and nothing below that floor, so one rule
@@ -40,6 +42,14 @@ _FLOOR = math.exp(-_CUTOFF**2)
 _GAP_BLOCK = 1 << 15
 
 
+def check_scales(**scales: float | None) -> None:
+    """Raise InvalidInput unless every given (not None) scale is finite
+    and positive; NaN fails it, where a test for <= 0 would let it pass."""
+    for name, value in scales.items():
+        if value is not None and not 0 < value < math.inf:
+            raise InvalidInput(f"{name} must be finite and positive")
+
+
 @dataclass
 class ScaleParams:
     """Scales of the neighborhood graph construction.
@@ -53,8 +63,7 @@ class ScaleParams:
     eta: float
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.r, self.eps, self.eta)):
-            raise InvalidInput("r, eps, eta must be finite and positive")
+        check_scales(r=self.r, eps=self.eps, eta=self.eta)
 
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
@@ -123,6 +132,7 @@ def cov_indicator_affinity(models: LocalModels, eps: float, eta: float, r: float
     Sparse: only the connected pairs are stored.  Degenerate models are
     left unconnected.
     """
+    check_scales(eps=eps, eta=eta, r=r)
     return _indicator(models, models.covariance, eps, eta * r * r, norm)
 
 
@@ -134,6 +144,7 @@ def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
     estimated dimension sit at spectral distance 1, so they disconnect
     whenever eta < 1.
     """
+    check_scales(eps=eps, eta=eta)
     return _indicator(models, models.projection, eps, eta, norm)
 
 
@@ -154,8 +165,7 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
     rest are below exp(-_CUTOFF^2) ~ 7e-17), and only entries at or above
     that floor are stored.
     """
-    if eps <= 0 or eta <= 0:
-        raise InvalidInput("eps and eta must be positive")
+    check_scales(eps=eps, eta=eta)
     pairs, w = _distance_factor(models.centers, eps)
     qd = pairwise_diff_norms(models.projection, pairs, "spectral")
     return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2))
@@ -167,8 +177,7 @@ def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
     Sparse and symmetric, cut off at _CUTOFF * eps like the product
     affinity.
     """
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    check_scales(eps=eps)
     points = np.asarray(points, float)
     return _symmetric(points.shape[0], *_distance_factor(points, eps))
 
@@ -195,8 +204,7 @@ def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_arr
 
     Sparse, symmetric: only the ell-NN pairs are weighted.
     """
-    if alpha <= 0:
-        raise InvalidInput("alpha must be positive")
+    check_scales(alpha=alpha)
     dims = np.unique(models.est_dim)
     if dims.size != 1 or dims[0] < 1:
         raise DimensionMismatch(f"estimated dimensions differ: {dims.tolist()}")
@@ -219,8 +227,7 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
     pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are weighted, the rest
     are below exp(-_CUTOFF^2) ~ 7e-17 and left out.
     """
-    if eta <= 0:
-        raise InvalidInput("eta must be positive")
+    check_scales(eta=eta)
     y = models.centers
     _, eps_i = _knn_adjacency(y, ell)
     if (eps_i == 0).any():

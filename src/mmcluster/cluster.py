@@ -36,9 +36,11 @@ from .local_pca import batch_local_models
 from .neighborhoods import (
     PointCloud,
     assign_to_closest_survivor,
+    balls,
     build_index,
     connected_components,
     nearest_site,
+    pair_balls,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -303,7 +305,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     index = build_index(cloud)
     n = cloud.n
     pairs_r = index.pairs_within(params.r)
-    models = batch_local_models(cloud, index, None, params.r, d=1, r_pairs=pairs_r)
+    models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), d=1)
     pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate, index,
                                       params.eps, params.eta * params.r**2, norm)
     edges = pairs[keep]
@@ -338,7 +340,9 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
     index = build_index(cloud)
-    models = batch_local_models(cloud, index, None, params.r, eta=params.eta)
+    models = batch_local_models(cloud, cloud.coords,
+                                *pair_balls(cloud.n, index.pairs_within(params.r)),
+                                eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
                                       params.eps, params.eta, norm)
     ids = connected_components(cloud.n, pairs[keep])
@@ -375,20 +379,23 @@ def algorithm4_local_pca_spectral(
     clustered by spectral partitioning of a product affinity (spatial
     Gaussian times projection-discrepancy Gaussian by default); data
     points inherit the label of their nearest center.  eps and eta are
-    selected automatically from the centers when not supplied.  The
-    ``distance`` kind drops the tangent factor, so it runs neither local
-    PCA nor the eta selection and ignores ``d``.
+    selected automatically from the centers when not supplied; every
+    given scale must be finite and positive.  The ``distance`` kind drops
+    the tangent factor, so it runs neither local PCA nor the eta
+    selection and ignores ``d``.  The ``wang`` kind uses neither scale,
+    so it runs neither selection and reports both as None.
 
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
+    aff.check_scales(eps=eps, eta=eta, alpha=alpha)
     index = build_index(cloud)
     center_idx = subsample_centers(index, r, rng)
     n0 = center_idx.size
     if n0 < k:
         raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
-    models = (None if affinity_kind == "distance"
-              else batch_local_models(cloud, index, center_idx, r, d=d))
     y = cloud.coords[center_idx]
+    models = (None if affinity_kind == "distance"
+              else batch_local_models(cloud, y, *balls(index.tree, y, r), d=d))
 
     eps_used = eta_used = None
     graph = {"n_edges": 0, "n_components": 1, "n_isolated": 0,
@@ -396,8 +403,9 @@ def algorithm4_local_pca_spectral(
     if n0 == 1:
         center_labels = np.ones(1, dtype=int)
     else:
-        eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
-        if models is not None:
+        if affinity_kind != "wang":
+            eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
+        if affinity_kind not in ("wang", "distance"):
             # the median can be exactly 0 on noiseless flat data; flooring it
             # reproduces the eta -> 0 limit (connect identical tangents only)
             eta_used = (float(eta) if eta is not None

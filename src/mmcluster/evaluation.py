@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -10,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import cluster as clu
-from .affinity import ScaleParams, lower_median
+from .affinity import ScaleParams, check_scales, lower_median
 from .cluster import Labeling
 from .datasets import DatasetSpec, generate, global_radius
 from .errors import InvalidInput, MMClusterError
@@ -61,10 +60,7 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in ("alg2", "alg3", "alg4", "njw_baseline"):
             raise InvalidInput(f"unknown method {self.method!r}")
-        for name in ("r", "eps", "eta", "alpha"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise InvalidInput(f"{name} must be finite and positive")
+        check_scales(r=self.r, eps=self.eps, eta=self.eta, alpha=self.alpha)
         if self.method in ("alg2", "alg3") and (self.eps is None or self.eta is None):
             raise InvalidInput(f"{self.method} requires explicit eps and eta")
         if self.method == "alg3" and not (0 < self.eta < 1):
@@ -73,6 +69,8 @@ class MethodConfig:
             raise InvalidInput("alg4 requires K and d")
         if self.method == "njw_baseline" and self.k is None:
             raise InvalidInput("njw_baseline requires K")
+        if self.method in ("alg4", "njw_baseline") and self.norm != "spectral":
+            raise InvalidInput(f"{self.method} compares in the spectral norm only")
 
 
 def run_method(cloud: PointCloud, cfg: MethodConfig, seed: int) -> Labeling:

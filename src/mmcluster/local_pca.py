@@ -4,10 +4,10 @@ Covariances are normalized by the neighborhood size m (empirical-measure
 convention), not m - 1; the closed-form oracles for uniform samples on
 balls and segments rely on this.
 
-One batched kernel serves every caller: ``_covariances`` reduces all
-neighborhoods at once and ``_tangents`` runs one eigendecomposition over
-the stack.  The single-matrix functions are views on it over a stack of
-one.
+One batched kernel serves every caller, over the neighborhoods that the
+caller chooses: ``_covariances`` reduces all neighborhoods at once and
+``_tangents`` runs one eigendecomposition over the stack.  The
+single-matrix functions are views on it over a stack of one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
-from .neighborhoods import NeighborhoodIndex, PointCloud, balls, pair_balls
+from .neighborhoods import NeighborhoodIndex, PointCloud
 
 Array = np.ndarray
 
@@ -143,20 +143,19 @@ def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
 
 def batch_local_models(
     cloud: PointCloud,
-    index: NeighborhoodIndex,
-    centers: Array | None,
-    r: float,
+    y: Array,
+    counts: Array,
+    members: Array,
     d: int | None = None,
     eta: float | None = None,
-    r_pairs: Array | None = None,
 ) -> LocalModels:
-    """Local PCA of the closed r-ball around each center index, in center order.
+    """Local PCA of one neighborhood of ``cloud`` per row of ``y``, in row order.
 
-    ``centers=None`` fits every point, in index order, and assembles the
-    balls from the pairs of ``index`` within ``r``: ``r_pairs`` when the
-    caller has them (``index.pairs_within(r)``), else one query here.
-    Exactly one of ``d`` (fixed tangent dimension) and ``eta``
-    (threshold scale for dimension estimation) must be given.
+    ``y`` (n, D) holds the neighborhood centers, which become
+    ``LocalModels.centers``; ``counts`` (n,) and ``members`` hold the
+    neighborhoods, flat, as ``neighborhoods.balls`` and ``pair_balls``
+    return them.  Exactly one of ``d`` (fixed tangent dimension) and
+    ``eta`` (threshold scale for dimension estimation) must be given.
     """
     if (d is None) == (eta is None):
         raise InvalidInput("pass exactly one of d (fixed) or eta (thresholded)")
@@ -164,20 +163,8 @@ def batch_local_models(
         raise InvalidInput(f"d={d} out of range for ambient dimension {cloud.dim}")
     if eta is not None and not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie in (0, 1)")
-    if not r > 0:
-        raise InvalidInput("radius must be positive")
-    if centers is None:
-        y = cloud.coords
-        counts, members = pair_balls(
-            cloud.n, index.pairs_within(r) if r_pairs is None else r_pairs)
-    else:
-        if r_pairs is not None:
-            raise InvalidInput("r_pairs serve only centers=None")
-        centers = np.asarray(centers, dtype=int)
-        if centers.size == 0:
-            raise InvalidInput("centers must be nonempty")
-        y = cloud.coords[centers]
-        counts, members = balls(index.tree, y, r)
+    if not len(counts) == len(y) >= 1 or np.min(counts) < 1:
+        raise InvalidInput("need one nonempty neighborhood per center, and a center")
     covs = _covariances(cloud.coords, counts, members)
     # a mean that is off by rounding leaves covariance entries of about
     # (D eps_mach max|x|)^2 even for a ball of identical points; no

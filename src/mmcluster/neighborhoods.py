@@ -35,8 +35,8 @@ class PointCloud:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 2 or self.coords.shape[0] < 1:
-            raise InvalidInput(f"coords must be (n, D) with n >= 1, got {self.coords.shape}")
+        if self.coords.ndim != 2 or min(self.coords.shape) < 1:
+            raise InvalidInput(f"coords must be (n, D) with n, D >= 1, got {self.coords.shape}")
         if not np.all(np.isfinite(self.coords)):
             raise InvalidInput("coords contain non-finite values")
         # a squared distance is at most 4 D max|x|^2
@@ -87,8 +87,8 @@ def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generat
     previously chosen center.  Returns center indices in selection order;
     deterministic for a given generator state.
     """
-    if r <= 0:
-        raise InvalidInput("radius must be positive")
+    if not 0 < r < np.inf:
+        raise InvalidInput("radius must be finite and positive")
     n = index.cloud.n
     remaining = np.ones(n, dtype=bool)
     centers = []

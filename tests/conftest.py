@@ -1,6 +1,9 @@
 import hypothesis
 import numpy as np
 
+from mmcluster.local_pca import batch_local_models
+from mmcluster.neighborhoods import balls, build_index
+
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=40)
 hypothesis.settings.load_profile("suite")
 
@@ -20,3 +23,10 @@ def random_projection(rng, ambient, rank):
 def random_symmetric(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) * scale
     return 0.5 * (a + a.T)
+
+
+def ball_models(cloud, centers, r, **mode):
+    """``batch_local_models`` over the closed r-balls of the points at the
+    indices ``centers``, as alg4 calls it on its centers."""
+    y = cloud.coords[np.asarray(centers, dtype=int)]
+    return batch_local_models(cloud, y, *balls(build_index(cloud).tree, y, r), **mode)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import random_orthonormal, random_projection
+from conftest import ball_models, random_orthonormal, random_projection
 from mmcluster import affinity as aff
 from mmcluster import linalg
 from mmcluster.errors import DimensionMismatch, NoPairsInRange, TooFewCenters
-from mmcluster.local_pca import LocalModels, batch_local_models
+from mmcluster.local_pca import LocalModels
 from mmcluster.neighborhoods import PointCloud, build_index
 
 
@@ -163,7 +163,7 @@ class TestWang:
         ell, alpha, n = 4, 2.0, 80
         for ambient, d in ((2, 1), (3, 1), (3, 2)):
             cloud = PointCloud(rng.uniform(size=(n, ambient)))
-            models = batch_local_models(cloud, build_index(cloud), np.arange(n), 0.6, d=d)
+            models = ball_models(cloud, np.arange(n), 0.6, d=d)
             assert not models.degenerate.any()
             w = dense(aff.wang_affinity(models, ell=ell, alpha=alpha))
             pairs, _ = aff._knn_adjacency(models.centers, ell)
@@ -523,9 +523,7 @@ class TestAutoScales:
 
 class TestInvariances:
     def _segment_models(self, coords, r):
-        cloud = PointCloud(coords)
-        index = build_index(cloud)
-        return batch_local_models(cloud, index, np.arange(cloud.n), r, d=1)
+        return ball_models(PointCloud(coords), np.arange(len(coords)), r, d=1)
 
     def test_rigid_motion_leaves_affinities_unchanged(self):
         rng = np.random.default_rng(5)

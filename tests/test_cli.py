@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
+from conftest import ball_models
 from mmcluster import cli, cluster
 from mmcluster.affinity import auto_epsilon, auto_eta, gaussian_product_affinity
-from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
 
 
@@ -172,6 +172,30 @@ class TestCluster:
         assert err.startswith("error: ") and "bad.csv:" in err
         assert "Traceback" not in err
 
+    def test_no_coordinate_column_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "labels_only.csv"
+        data.write_text("label\n1\n2\n")
+        rc = run_cli(["cluster", data, "--method", "alg4", "--r", 0.1,
+                      "--k", 2, "--d", 1, "--out", tmp_path / "x.csv"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", [["alg4", "--d", 1], ["njw_baseline"]],
+                             ids=["alg4", "njw_baseline"])
+    def test_frobenius_for_center_graph_exit_2(self, tmp_path, capsys, method):
+        # the center-graph pipelines compare in the spectral norm only, so
+        # a report recording --norm frobenius would describe a setting no
+        # step used
+        data = tmp_path / "seg.csv"
+        segment_csv(data, n=200)
+        out = tmp_path / "x.csv"
+        rc = run_cli(["cluster", data, "--method", *method, "--r", 0.1, "--k", 2,
+                      "--affinity", "cov", "--norm", "frobenius", "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
         # well-formed, but squared distances of 1e200 overflow float64
         data = tmp_path / "huge.csv"
@@ -239,7 +263,7 @@ class TestCluster:
         rng = np.random.default_rng(seed)
         index = build_index(cloud)
         centers = subsample_centers(index, r, rng)
-        models = batch_local_models(cloud, index, centers, r, d=1)
+        models = ball_models(cloud, centers, r, d=1)
         eps = auto_epsilon(cloud.coords[centers])
         eta = auto_eta(models, eps)
         assert report["eps_used"] == eps

@@ -7,6 +7,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from conftest import ball_models
+from mmcluster import affinity as aff
 from mmcluster import cluster
 from mmcluster.affinity import (
     ScaleParams,
@@ -28,7 +30,6 @@ from mmcluster.cluster import (
 from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
 from mmcluster.evaluation import misclustering_rate
-from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import (
     PointCloud,
     build_index,
@@ -68,7 +69,7 @@ def center_affinity(cloud, r, seed, kind="gauss", eta=None):
     eps = auto_epsilon(y)
     if kind == "distance":
         return distance_gaussian_affinity(y, eps)
-    models = batch_local_models(cloud, index, centers, r, d=1)
+    models = ball_models(cloud, centers, r, d=1)
     eta = max(auto_eta(models, eps), 1e-12) if eta is None else eta
     if kind == "proj":
         return proj_indicator_affinity(models, eps, eta)
@@ -553,7 +554,7 @@ class TestAlgorithm2:
         params = ScaleParams(r=0.1, eps=0.3, eta=0.12)
         lab = algorithm2_cov_components(cloud, params)
         index = build_index(cloud)
-        covs = batch_local_models(cloud, index, np.arange(cloud.n), params.r, d=1).covariance
+        covs = ball_models(cloud, np.arange(cloud.n), params.r, d=1).covariance
         removed = set(lab.removed.tolist())
         for i in range(cloud.n):
             nbrs = index.query(cloud.coords[i], params.r)
@@ -689,6 +690,15 @@ class TestAlgorithm4:
             "eps", "eta", "n_centers", "center_indices", "n_edges", "n_components",
             "n_isolated", "eigenvalues", "eigengap", "kmeans_inertia", "cluster_sizes"}
 
+    def test_wang_runs_no_scale_selection(self):
+        # evenly spaced centers leave no pair strictly within the selected
+        # eps, so an eta selection would fail; wang uses neither scale
+        cloud = PointCloud(np.column_stack([np.arange(20.0), np.zeros(20)]))
+        lab = algorithm4_local_pca_spectral(cloud, 1.5, 2, 1, np.random.default_rng(0),
+                                            affinity_kind="wang", ell=3)
+        assert lab.K_found == 2 and lab.assignments.shape == (20,)
+        assert lab.info["eps"] is None and lab.info["eta"] is None
+
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments
         rates = []
@@ -697,3 +707,36 @@ class TestAlgorithm4:
             lab = njw_baseline(cloud, 0.05, 2, np.random.default_rng(seed))
             rates.append(misclustering_rate(lab, cloud.labels, 2))
         assert np.median(rates) > 0.2
+
+
+def _alg4(cloud, **kw):
+    return algorithm4_local_pca_spectral(cloud, 0.1, 2, 1, np.random.default_rng(0), **kw)
+
+
+BAD_SCALE_CALLS = {
+    "alg4_eps_nan": lambda c, m: _alg4(c, eps=math.nan),
+    "alg4_eps_negative": lambda c, m: _alg4(c, eps=-1.0),
+    "alg4_eta_nan": lambda c, m: _alg4(c, eta=math.nan),
+    "alg4_gong_eta_nan": lambda c, m: _alg4(c, affinity_kind="gong", eta=math.nan),
+    "alg4_wang_alpha_nan": lambda c, m: _alg4(c, affinity_kind="wang", alpha=math.nan),
+    "baseline_eps_nan": lambda c, m: njw_baseline(c, 0.1, 2, np.random.default_rng(0),
+                                                  eps=math.nan),
+    "gauss_eps_nan": lambda c, m: aff.gaussian_product_affinity(m, math.nan, 0.5),
+    "gauss_eta_nan": lambda c, m: aff.gaussian_product_affinity(m, 0.2, math.nan),
+    "distance_eps_nan": lambda c, m: aff.distance_gaussian_affinity(m.centers, math.nan),
+    "cov_eps_nan": lambda c, m: aff.cov_indicator_affinity(m, math.nan, 0.5, 0.1),
+    "cov_r_inf": lambda c, m: aff.cov_indicator_affinity(m, 0.2, 0.5, math.inf),
+    "proj_eta_nan": lambda c, m: aff.proj_indicator_affinity(m, 0.2, math.nan),
+    "gong_eta_nan": lambda c, m: aff.gong_affinity(m, 3, math.nan),
+    "wang_alpha_nan": lambda c, m: aff.wang_affinity(m, 3, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_SCALE_CALLS))
+def test_bad_scale_is_invalid_input(call):
+    # a NaN scale passes a test of the form "<= 0"; past it, the pipelines
+    # fail as if the input had no solution and the affinities are empty
+    cloud = crossing_cloud(seed=1, n=400, tau=0.01)
+    models = ball_models(cloud, np.arange(0, cloud.n, 10), 0.1, d=1)
+    with pytest.raises(InvalidInput):
+        BAD_SCALE_CALLS[call](cloud, models)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal, random_symmetric
+from conftest import ball_models, random_orthonormal, random_symmetric
 from mmcluster import linalg
 from mmcluster.errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
 from mmcluster.local_pca import (
@@ -13,7 +13,7 @@ from mmcluster.local_pca import (
     estimate_projection,
     local_covariance,
 )
-from mmcluster.neighborhoods import PointCloud, build_index
+from mmcluster.neighborhoods import PointCloud, balls, build_index, pair_balls
 
 
 def segment_cloud(n, direction, lo=-1.0, hi=1.0, offset=None):
@@ -167,20 +167,25 @@ class TestEstimateDimThresholded:
 class TestBatchLocalModels:
     def test_requires_exactly_one_mode(self):
         cloud = segment_cloud(50, [1.0, 0.0])
-        index = build_index(cloud)
         with pytest.raises(InvalidInput):
-            batch_local_models(cloud, index, np.arange(5), 0.2)
+            ball_models(cloud, np.arange(5), 0.2)
         with pytest.raises(InvalidInput):
-            batch_local_models(cloud, index, np.arange(5), 0.2, d=1, eta=0.1)
+            ball_models(cloud, np.arange(5), 0.2, d=1, eta=0.1)
 
-    def test_negative_radius(self):
+    def test_one_nonempty_neighborhood_per_center(self):
+        # reduceat would turn an empty segment into a wrong covariance
         cloud = segment_cloud(50, [1.0, 0.0])
-        with pytest.raises(InvalidInput):
-            batch_local_models(cloud, build_index(cloud), np.arange(5), -0.2, d=1)
+        y = cloud.coords[:3]
+        counts, members = balls(build_index(cloud).tree, y, 0.2)
+        for bad in ((y[:2], counts, members),
+                    (y, np.array([counts[0], 0, counts[1] + counts[2]]), members),
+                    (y[:0], counts[:0], members[:0])):
+            with pytest.raises(InvalidInput):
+                batch_local_models(cloud, *bad, d=1)
 
     def test_degenerate_single_point(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 10.0]]))
-        models = batch_local_models(cloud, build_index(cloud), np.array([0]), 0.5, d=1)
+        models = ball_models(cloud, np.array([0]), 0.5, d=1)
         assert len(models) == 1
         assert models.degenerate[0]
         assert models.neighbor_count[0] == 1
@@ -201,7 +206,7 @@ class TestBatchLocalModels:
         projections = []
         for pts in (coords, coords @ rot.T):
             cloud = PointCloud(pts)
-            m = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, d=2)
+            m = ball_models(cloud, np.array([0]), 1.0, d=2)
             assert m.degenerate[0] and m.est_dim[0] == 0 and m.neighbor_count[0] == len(ball)
             projections.append(m.projection[0])
         np.testing.assert_array_equal(projections[0], projections[1])
@@ -213,7 +218,7 @@ class TestBatchLocalModels:
         # covariance holds rounding noise of about 1e-32
         coords = np.array([[0.1, 0.7, 0.3]] * 3 + [[5.0, 5.0, 5.0]])
         cloud = PointCloud(coords)
-        m = batch_local_models(cloud, build_index(cloud), np.array([0]), 1.0, **mode)
+        m = ball_models(cloud, np.array([0]), 1.0, **mode)
         assert m.neighbor_count[0] == 3
         assert m.degenerate[0] and m.est_dim[0] == 0
         np.testing.assert_array_equal(m.projection[0], np.zeros((3, 3)))
@@ -223,7 +228,7 @@ class TestBatchLocalModels:
         cloud = PointCloud(rng.normal(size=(200, 2)))
         index = build_index(cloud)
         centers = np.array([3, 77, 140])
-        models = batch_local_models(cloud, index, centers, 0.5, d=1)
+        models = ball_models(cloud, centers, 0.5, d=1)
         np.testing.assert_array_equal(models.centers, cloud.coords[centers])
         for k, c in enumerate(centers):
             cov = local_covariance(cloud, index, cloud.coords[c], 0.5)
@@ -244,21 +249,14 @@ class TestBatchLocalModels:
             coords, r = np.repeat(rng.uniform(size=(40, 3)), 2, axis=0), 0.3
         cloud = PointCloud(coords)
         index = build_index(cloud)
-        want = batch_local_models(cloud, index, np.arange(cloud.n), r, **mode)
-        for r_pairs in (None, index.pairs_within(r)):
-            got = batch_local_models(cloud, index, None, r, **mode, r_pairs=r_pairs)
-            for field in ("centers", "neighbor_count", "covariance", "projection",
-                          "est_dim", "degenerate"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        want = ball_models(cloud, np.arange(cloud.n), r, **mode)
+        got = batch_local_models(cloud, cloud.coords,
+                                 *pair_balls(cloud.n, index.pairs_within(r)), **mode)
+        for field in ("centers", "neighbor_count", "covariance", "projection",
+                      "est_dim", "degenerate"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         if kind == "duplicates":
             assert want.degenerate.any()
-
-    def test_r_pairs_only_for_every_point(self):
-        cloud = segment_cloud(50, [1.0, 0.0])
-        index = build_index(cloud)
-        with pytest.raises(InvalidInput):
-            batch_local_models(cloud, index, np.arange(5), 0.2, d=1,
-                               r_pairs=index.pairs_within(0.2))
 
     @pytest.mark.parametrize("shift", [0.0, 1e3])
     def test_batch_matches_two_pass_reference(self, shift):
@@ -268,7 +266,7 @@ class TestBatchLocalModels:
         index = build_index(cloud)
         centers = np.arange(0, 400, 7)
         r, eta = 0.6, 0.1
-        models = batch_local_models(cloud, index, centers, r, eta=eta)
+        models = ball_models(cloud, centers, r, eta=eta)
         assert models.degenerate.sum() < len(models) // 2
         for k, c in enumerate(centers):
             nbrs = index.query(cloud.coords[c], r)
@@ -285,9 +283,8 @@ class TestBatchLocalModels:
     def test_model_invariants(self):
         rng = np.random.default_rng(6)
         cloud = PointCloud(rng.uniform(-1, 1, size=(500, 2)))
-        index = build_index(cloud)
         r = 0.3
-        models = batch_local_models(cloud, index, np.arange(0, 500, 11), r, eta=0.2)
+        models = ball_models(cloud, np.arange(0, 500, 11), r, eta=0.2)
         for k in np.flatnonzero(~models.degenerate):
             cov, proj = models.covariance[k], models.projection[k]
             assert linalg.spectral_norm(cov) <= r**2 + 1e-12

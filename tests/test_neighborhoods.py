@@ -101,6 +101,14 @@ class TestSubsampleCenters:
         to_centers = np.linalg.norm(coords[:, None] - y[None, :], axis=2).min(axis=1)
         assert to_centers.max() <= r  # cover
 
+    def test_rejects_bad_radius(self):
+        # NaN fails every comparison: a test of the form r <= 0 lets it
+        # through, and then every point becomes a center
+        cloud = PointCloud(np.arange(400.0)[:, None])
+        for r in (-0.2, 0.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                subsample_centers(build_index(cloud), r, np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         coords = np.random.default_rng(5).uniform(0, 1, size=(200, 2))
         cloud = PointCloud(coords)
