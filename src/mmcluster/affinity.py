@@ -66,9 +66,15 @@ class ScaleParams:
         check_scales(r=self.r, eps=self.eps, eta=self.eta)
 
 
-def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
+def pairwise_diff_norms(stack: Array, pairs: Array, norm: str,
+                        cap: Array | None = None) -> Array:
     """Norms of stack[i] - stack[j] over the (m, 2) ``pairs`` (i, j) of a
-    stack (n, D, D), a block of _GAP_BLOCK pairs at a time."""
+    stack (n, D, D), a block of _GAP_BLOCK pairs at a time.
+
+    ``cap`` (spectral norm only) holds one bound per pair: a pair whose
+    largest column norm, a lower bound on its spectral norm, exceeds its
+    cap is not solved and reads inf.
+    """
     if norm not in ("spectral", "frobenius"):
         raise InvalidInput(f"unknown norm mode {norm!r}")
     flat = stack.reshape(stack.shape[0], -1)
@@ -79,7 +85,14 @@ def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
         diffs -= np.take(flat, block[:, 1], axis=0)
         gaps = out[start:start + _GAP_BLOCK]
         if norm == "spectral":
-            gaps[:] = linalg.spectral_norms(diffs.reshape((-1,) + stack.shape[1:]))
+            diffs = diffs.reshape((-1,) + stack.shape[1:])
+            if cap is None:
+                gaps[:] = linalg.spectral_norms(diffs)
+            else:
+                bound = np.sqrt(np.einsum("pij,pij->pj", diffs, diffs).max(axis=1))
+                solve = bound <= cap[start:start + _GAP_BLOCK]
+                gaps.fill(np.inf)
+                gaps[solve] = linalg.spectral_norms(diffs[solve])
         else:
             np.square(diffs, out=diffs)
             np.sqrt(diffs.sum(axis=1), out=gaps)
@@ -163,11 +176,16 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
 
     Sparse, symmetric: only pairs within _CUTOFF * eps are weighted (the
     rest are below exp(-_CUTOFF^2) ~ 7e-17), and only entries at or above
-    that floor are stored.
+    that floor are stored.  A pair whose lower bound on ||Q_i-Q_j|| puts
+    it below the floor gets no eigensolve.
     """
     check_scales(eps=eps, eta=eta)
     pairs, w = _distance_factor(models.centers, eps)
-    qd = pairwise_diff_norms(models.projection, pairs, "spectral")
+    # w exp(-qd^2/eta^2) reaches _FLOOR only if qd <= eta sqrt(ln(w/_FLOOR)).
+    # The 1% margin, and the log's floor at 1e-9, leave every pair beyond
+    # its cap a relative 2e-11 or more below _FLOOR, far above rounding.
+    cap = 1.01 * eta * np.sqrt(np.maximum(np.log(w / _FLOOR), 1e-9))
+    qd = pairwise_diff_norms(models.projection, pairs, "spectral", cap=cap)
     return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2))
 
 

@@ -383,7 +383,9 @@ def algorithm4_local_pca_spectral(
     given scale must be finite and positive.  The ``distance`` kind drops
     the tangent factor, so it runs neither local PCA nor the eta
     selection and ignores ``d``.  The ``wang`` kind uses neither scale,
-    so it runs neither selection and reports both as None.
+    so it runs neither selection and reports both as None.  The ``gong``
+    kind reads eps only to select eta, so with a given eta it runs no eps
+    selection and reports eps as None.
 
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
@@ -403,7 +405,8 @@ def algorithm4_local_pca_spectral(
     if n0 == 1:
         center_labels = np.ones(1, dtype=int)
     else:
-        if affinity_kind != "wang":
+        # gong reads eps only through the eta selection
+        if affinity_kind != "wang" and (affinity_kind != "gong" or eta is None):
             eps_used = float(eps) if eps is not None else aff.auto_epsilon(y)
         if affinity_kind not in ("wang", "distance"):
             # the median can be exactly 0 on noiseless flat data; flooring it

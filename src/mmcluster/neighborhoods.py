@@ -4,7 +4,8 @@ Every neighborhood is a closed ball: index.query(x, r) returns exactly
 the indices j with ||x - x_j|| <= r.  The KD-tree is an exact
 accelerator, never an approximation.  It also answers nearest-site and
 close-pair queries: its distances, widened by a relative 1e-9, bound the
-candidates, whose distances are then recomputed exactly.
+candidates, whose distances are then recomputed exactly where the tree
+alone cannot decide.
 """
 
 from __future__ import annotations
@@ -161,18 +162,26 @@ def pair_balls(n: int, pairs: Array) -> tuple[Array, Array]:
 def nearest_site(points: Array, sites: Array) -> Array:
     """Position in ``sites`` of each point's nearest site (ties: first site).
 
-    The tree's nearest distance, widened by a relative 1e-9, bounds the
-    candidates; among them the squared distance (diff * diff).sum() of
-    each point and site decides, and its ties go to the lowest position.
+    One 2-NN tree query decides a point whose second distance exceeds its
+    first, widened twice by a relative 1e-9: no other site can tie, so the
+    tree's nearest site is the answer.  For the near-ties left, the first
+    distance widened by 1e-9 bounds the candidates; among them the squared
+    distance (diff * diff).sum() of each point and site decides, and its
+    ties go to the lowest position.
     """
     tree = cKDTree(sites)
-    counts, members = balls(tree, points, tree.query(points)[0] * (1 + 1e-9))
-    diff = np.repeat(points, counts, axis=0) - sites[members]
-    d2 = (diff * diff).sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    at_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), counts)
-    first = np.minimum.reduceat(np.where(at_min, np.arange(d2.size), d2.size), starts)
-    return members[first]
+    dist, nearest = tree.query(points, k=2)
+    near_tie = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1 + 1e-9) ** 2)
+    if near_tie.size:
+        points = points[near_tie]
+        counts, members = balls(tree, points, dist[near_tie, 0] * (1 + 1e-9))
+        diff = np.repeat(points, counts, axis=0) - sites[members]
+        d2 = (diff * diff).sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        at_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), counts)
+        first = np.minimum.reduceat(np.where(at_min, np.arange(d2.size), d2.size), starts)
+        nearest[near_tie, 0] = members[first]
+    return nearest[:, 0]
 
 
 def assign_to_closest_survivor(

@@ -369,6 +369,32 @@ class TestSparseShape:
                     self.check(aff.gaussian_product_affinity(models, eps, eta),
                                self.oracle_gauss(models, eps, eta), exact=True)
 
+    @pytest.mark.parametrize("ambient", [2, 3, 4])
+    def test_capped_gaps_match_dense_oracle(self, ambient, monkeypatch):
+        # a small eta puts most pairs below the floor: a pair reaches the
+        # eigensolve only if its largest column norm, a lower bound on
+        # ||Q_i - Q_j||, is within 1.01 eta sqrt(max(ln(w / floor), 1e-9)),
+        # and the stored entries stay bit-equal to the uncapped formula
+        rng = np.random.default_rng(ambient)
+        models = self.random_models(rng, 90, ambient)
+        eps, eta = 0.3, 0.05
+        want = self.oracle_gauss(models, eps, eta)
+        # blocks of an odd size, so each block reads its own slice of caps
+        monkeypatch.setattr(aff, "_GAP_BLOCK", 97)
+        seen = []
+        real = linalg.spectral_norms
+        monkeypatch.setattr(linalg, "spectral_norms",
+                            lambda ms: seen.append(ms.copy()) or real(ms))
+        stored = self.check(aff.gaussian_product_affinity(models, eps, eta), want, exact=True)
+        pairs = build_index(PointCloud(models.centers)).pairs_within(6.1 * eps)
+        y, projs = models.centers[pairs.T], models.projection[pairs.T]
+        w = np.exp(-((y[0] - y[1]) ** 2).sum(axis=1) / eps**2)
+        diffs = projs[0] - projs[1]
+        bound = np.sqrt((diffs * diffs).sum(axis=1).max(axis=1))
+        within = bound <= 1.01 * eta * np.sqrt(np.maximum(np.log(w / self.CUTOFF_WEIGHT), 1e-9))
+        np.testing.assert_array_equal(np.concatenate(seen), diffs[within])
+        assert 0 < stored.sum() // 2 <= within.sum() < 0.5 * len(pairs)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_indicator_kinds_match_dense_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -699,6 +699,22 @@ class TestAlgorithm4:
         assert lab.K_found == 2 and lab.assignments.shape == (20,)
         assert lab.info["eps"] is None and lab.info["eta"] is None
 
+    def test_gong_selects_eps_only_for_eta(self, monkeypatch):
+        # gong reads eps only through the eta selection: with eta given it
+        # selects no eps and reports none, as wang does
+        cloud = generate(DatasetSpec("two_segments", n_per_cluster=200, tau=0.01, seed=1))
+        calls = []
+        real = aff.auto_epsilon
+        monkeypatch.setattr(aff, "auto_epsilon", lambda y: calls.append(len(y)) or real(y))
+        given = algorithm4_local_pca_spectral(cloud, 0.1, 2, 1, np.random.default_rng(0),
+                                              affinity_kind="gong", eta=0.5)
+        assert calls == [] and given.info["eps"] is None and given.info["eta"] == 0.5
+        selected = algorithm4_local_pca_spectral(cloud, 0.1, 2, 1, np.random.default_rng(0),
+                                                 affinity_kind="gong")
+        assert calls == [selected.info["n_centers"]]
+        assert selected.info["eps"] == real(cloud.coords[selected.info["center_indices"]])
+        assert selected.info["eta"] > 0
+
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments
         rates = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mmcluster import neighborhoods
 from mmcluster.errors import InvalidInput, NoSurvivors
 from mmcluster.neighborhoods import (
     PointCloud,
@@ -262,19 +263,46 @@ class TestAssignToClosestSurvivor:
 
 
 class TestNearestSite:
+    @staticmethod
+    def lattice_cases(rng):
+        """Shuffled integer lattices: many points have 3 or more
+        equidistant sites, listed in no particular order."""
+        for dim in (1, 2, 3):
+            sites = rng.permutation(rng.integers(-3, 4, size=(25, dim)).astype(float))
+            yield rng.integers(-8, 9, size=(300, dim)) / 2.0, sites
+
     def test_matches_full_broadcast(self):
         rng = np.random.default_rng(6)
         points = rng.normal(size=(101, 3))
-        cases = [(points, np.vstack([rng.normal(size=(7, 3)), points[:2]]))]  # exact hits
-        for dim in (1, 2, 3):
-            # shuffled integer lattices: many points have 3 or more
-            # equidistant sites, listed in no particular order
-            sites = rng.permutation(rng.integers(-3, 4, size=(25, dim)).astype(float))
-            cases.append((rng.integers(-8, 9, size=(300, dim)) / 2.0, sites))
+        sites = rng.normal(size=(9, 3))
+        cases = [(points, np.vstack([rng.normal(size=(7, 3)), points[:2]])),  # exact hits
+                 (points, sites[:1]),  # one site: the tree's second distance is inf
+                 (points, sites[[0, 3, 1, 3, 0, 2]]),  # duplicated sites tie exactly
+                 (np.vstack([sites, sites[::-2], points]), sites)]  # points on sites
+        cases.extend(self.lattice_cases(rng))
         for points, sites in cases:
             diff = points[:, None, :] - sites[None, :, :]
             want = (diff * diff).sum(axis=2).argmin(axis=1)
             np.testing.assert_array_equal(nearest_site(points, sites), want)
+
+    def test_exact_path_gets_only_near_ties(self, monkeypatch):
+        # the exact recomputation sees only the rows the 2-NN query cannot
+        # decide: none of a random cloud, every tied row of a lattice
+        seen = []
+        real = neighborhoods.balls
+        monkeypatch.setattr(neighborhoods, "balls",
+                            lambda tree, x, r: seen.append(x.copy()) or real(tree, x, r))
+        rng = np.random.default_rng(8)
+        nearest_site(rng.normal(size=(500, 3)), rng.normal(size=(40, 3)))
+        assert seen == []
+        for points, sites in self.lattice_cases(rng):
+            seen.clear()
+            d2 = np.sort(((points[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2), axis=1)
+            tied = d2[:, 0] == d2[:, 1]
+            assert tied.any()
+            nearest_site(points, sites)
+            assert len(seen) == 1
+            np.testing.assert_array_equal(seen[0], points[tied])
 
     def test_tie_goes_to_first_site(self):
         sites = np.array([[1.0], [-1.0], [1.0]])
