@@ -66,15 +66,9 @@ class ScaleParams:
         check_scales(r=self.r, eps=self.eps, eta=self.eta)
 
 
-def pairwise_diff_norms(stack: Array, pairs: Array, norm: str,
-                        cap: Array | None = None) -> Array:
+def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
     """Norms of stack[i] - stack[j] over the (m, 2) ``pairs`` (i, j) of a
-    stack (n, D, D), a block of _GAP_BLOCK pairs at a time.
-
-    ``cap`` (spectral norm only) holds one bound per pair: a pair whose
-    largest column norm, a lower bound on its spectral norm, exceeds its
-    cap is not solved and reads inf.
-    """
+    stack (n, D, D), a block of _GAP_BLOCK pairs at a time."""
     if norm not in ("spectral", "frobenius"):
         raise InvalidInput(f"unknown norm mode {norm!r}")
     flat = stack.reshape(stack.shape[0], -1)
@@ -85,18 +79,28 @@ def pairwise_diff_norms(stack: Array, pairs: Array, norm: str,
         diffs -= np.take(flat, block[:, 1], axis=0)
         gaps = out[start:start + _GAP_BLOCK]
         if norm == "spectral":
-            diffs = diffs.reshape((-1,) + stack.shape[1:])
-            if cap is None:
-                gaps[:] = linalg.spectral_norms(diffs)
-            else:
-                bound = np.sqrt(np.einsum("pij,pij->pj", diffs, diffs).max(axis=1))
-                solve = bound <= cap[start:start + _GAP_BLOCK]
-                gaps.fill(np.inf)
-                gaps[solve] = linalg.spectral_norms(diffs[solve])
+            gaps[:] = linalg.spectral_norms(diffs.reshape((-1,) + stack.shape[1:]))
         else:
             np.square(diffs, out=diffs)
             np.sqrt(diffs.sum(axis=1), out=gaps)
     return out
+
+
+def _projection_gaps(models: LocalModels, pairs: Array) -> Array:
+    """||Q_i - Q_j||_2 over ``pairs`` for orthogonal projections of ranks
+    r = ``est_dim``: exactly 1 where the ranks differ; at equal rank with
+    min(r, D - r) <= 1 one principal angle at most is nonzero, so it is
+    ||Q_i - Q_j||_F / sqrt(2) (Stewart & Sun 1990); the rest are solved."""
+    q, rank = models.projection, models.est_dim
+    gaps = pairwise_diff_norms(q, pairs, "frobenius")
+    gaps /= math.sqrt(2.0)
+    unequal = rank[pairs[:, 0]] != rank[pairs[:, 1]]
+    gaps[unequal] = 1.0
+    wide = np.minimum(rank, q.shape[1] - rank) >= 2
+    if wide.any():
+        exact = wide[pairs[:, 0]] & ~unequal
+        gaps[exact] = pairwise_diff_norms(q, pairs[exact], "spectral")
+    return gaps
 
 
 def indicator_pairs(
@@ -176,17 +180,14 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
 
     Sparse, symmetric: only pairs within _CUTOFF * eps are weighted (the
     rest are below exp(-_CUTOFF^2) ~ 7e-17), and only entries at or above
-    that floor are stored.  A pair whose lower bound on ||Q_i-Q_j|| puts
-    it below the floor gets no eigensolve.
+    that floor are stored.  Gaps from ``_projection_gaps``; the exponent
+    (gap/eta)^2 keeps the eta -> 0 limit (1 at gap 0, else 0), no 0/0.
     """
     check_scales(eps=eps, eta=eta)
     pairs, w = _distance_factor(models.centers, eps)
-    # w exp(-qd^2/eta^2) reaches _FLOOR only if qd <= eta sqrt(ln(w/_FLOOR)).
-    # The 1% margin, and the log's floor at 1e-9, leave every pair beyond
-    # its cap a relative 2e-11 or more below _FLOOR, far above rounding.
-    cap = 1.01 * eta * np.sqrt(np.maximum(np.log(w / _FLOOR), 1e-9))
-    qd = pairwise_diff_norms(models.projection, pairs, "spectral", cap=cap)
-    return _symmetric(len(models), pairs, w * np.exp(-(qd * qd) / eta**2))
+    with np.errstate(over="ignore"):
+        tangent = np.exp(-np.square(_projection_gaps(models, pairs) / eta))
+    return _symmetric(len(models), pairs, w * tangent)
 
 
 def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
@@ -243,7 +244,8 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
     For coincident points the angle factor is 1 when the projections
     agree and 0 otherwise (limit convention).  Sparse, symmetric: only
     pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are weighted, the rest
-    are below exp(-_CUTOFF^2) ~ 7e-17 and left out.
+    are below exp(-_CUTOFF^2) ~ 7e-17 and left out.  Gaps and the eta -> 0
+    limit as in ``gaussian_product_affinity``.
     """
     check_scales(eta=eta)
     y = models.centers
@@ -257,9 +259,10 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
     s = (diff * diff).sum(axis=1) / (eps_i[i] * eps_i[j])
     near = s <= _CUTOFF**2
     pairs, s = pairs[near], s[near]
-    qd = np.clip(pairwise_diff_norms(models.projection, pairs, "spectral"), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angle_term = np.where(s > 0, np.exp(-np.arcsin(qd) ** 2 / (eta**2 * s)), 0.0)
+    qd = np.clip(_projection_gaps(models, pairs), 0.0, 1.0)
+    # eta^2 never stands alone; coincident pairs (s = 0) are set below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        angle_term = np.exp(-np.square(np.arcsin(qd) / eta) / s)
     coincident = (s == 0)
     angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
     return _symmetric(len(models), pairs, np.exp(-s) * angle_term)

@@ -279,13 +279,8 @@ def cmd_cluster(args) -> int:
         },
         "eps_used": info["eps"],
         "eta_used": info["eta"],
-        "n_centers": info.get("n_centers"),
-        "n_edges": info.get("n_edges"),
-        "n_components": info.get("n_components"),
-        "n_isolated": info.get("n_isolated"),
-        "eigenvalues": info.get("eigenvalues"),
-        "eigengap": info.get("eigengap"),
-        "kmeans_inertia": info.get("kmeans_inertia"),
+        **{key: info.get(key) for key in ("n_centers", "n_edges", "n_components", "n_isolated",
+                                          "eigenvalues", "eigengap", "kmeans_inertia")},
         "k_found": labeling.K_found,
         "cluster_sizes": info["cluster_sizes"],
         "n_removed": int(labeling.removed.size) if labeling.removed is not None else 0,
@@ -324,9 +319,7 @@ def _print_table(rows: list[dict], n_trials: int) -> None:
             format(row["r"], ".4g"),
             format(row["r_over_R"], ".3f"),
             f"{100 * row['median_rate']:.2f}%",
-            f"{row['count_below']['5%']}/{n_trials}",
-            f"{row['count_below']['10%']}/{n_trials}",
-            f"{row['count_below']['15%']}/{n_trials}",
+            *(f"{row['count_below'][t]}/{n_trials}" for t in ("5%", "10%", "15%")),
         ])
     widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
     line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))

@@ -65,6 +65,11 @@ _SPARSE_MIN = 256
 # for 8 took 1.5k, and on the spheres 1080 against 474.
 _LANCZOS_EXTRA = 6
 
+# ARPACK's bound on the Ritz residuals.  Against tol = 0, on the first 6
+# spheres operations at seed 41 it cut the operator products from 5276 to
+# 3408 and moved no top eigenvalue by more than 1.7e-14.
+_EIGSH_TOL = 1e-8
+
 
 @dataclass
 class Labeling:
@@ -182,7 +187,8 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
       x -> Mx + x - 2 U U^T x, which sends the u_C to 0, below every
       other eigenvalue of M + I.  The embedding is [U, the top k - c
       vectors].  The start vector is fixed, not drawn from ``rng``, so
-      k-means sees the same generator state on both paths.
+      k-means sees the same generator state on both paths.  ARPACK stops at
+      residuals of ``_EIGSH_TOL``: eigenvalues exact to about its square.
     * otherwise, or when ARPACK does not converge: NumPy's full ``eigh``
       of a dense M; the embedding is its top k eigenvectors.
     Then k-means++ runs on the normalized rows of the embedding.  The
@@ -211,7 +217,7 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
                             matvec=lambda x: mat @ x + x - 2.0 * (u @ (u.T @ x)))
         try:
             vals, vecs = eigsh(op, k=min(k - c + 1 + _LANCZOS_EXTRA, m - 1), which="LA",
-                               v0=np.cos(np.arange(m)))
+                               v0=np.cos(np.arange(m)), tol=_EIGSH_TOL)
         except ArpackNoConvergence:
             pass
         else:

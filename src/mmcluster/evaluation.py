@@ -138,10 +138,7 @@ def run_trials(spec: DatasetSpec, cfg: MethodConfig, n_trials: int,
     else:
         outcomes = [work(t) for t in range(n_trials)]
 
-    rates = [o[0] for o in outcomes]
-    k_found = [o[1] for o in outcomes]
-    notes = [o[2] for o in outcomes]
-    radii = [o[3] for o in outcomes]
+    rates, k_found, notes, radii = map(list, zip(*outcomes))
     counts = {thr: int(sum(r < thr for r in rates)) for thr in RATE_THRESHOLDS}
     mean_radius = float(np.mean(radii))
     return TrialStats(

@@ -715,6 +715,23 @@ class TestAlgorithm4:
         assert selected.info["eps"] == real(cloud.coords[selected.info["center_indices"]])
         assert selected.info["eta"] > 0
 
+    @pytest.mark.parametrize("kind", ["gauss", "gong"])
+    def test_tiny_eta_keeps_the_limit(self, kind, monkeypatch):
+        # below about 1.5e-154 eta^2 underflows to 0; the tangent factor
+        # must still be 1 where the gap is 0 and 0 elsewhere, with no 0/0
+        # and no warning, so eta = 1e-170 stores the graph of eta = 1e-100
+        cloud = generate(DatasetSpec("two_segments", n_per_cluster=200, tau=0.0, seed=1))
+        graphs = []
+        real = cluster._partition_centers
+        monkeypatch.setattr(cluster, "_partition_centers",
+                            lambda w, *args: graphs.append(w) or real(w, *args))
+        for eta in (1e-100, 1e-170):
+            algorithm4_local_pca_spectral(cloud, 0.1, 2, 1, np.random.default_rng(1),
+                                          affinity_kind=kind, eta=eta)
+        small, tiny = graphs
+        assert small.nnz > 0
+        np.testing.assert_array_equal(tiny.toarray(), small.toarray())
+
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments
         rates = []
