@@ -105,7 +105,7 @@ def _projection_gaps(models: LocalModels, pairs: Array) -> Array:
 
 def indicator_pairs(
     stack: Array,
-    degenerate: Array,
+    dead: Array,
     index: NeighborhoodIndex,
     eps: float,
     threshold: float,
@@ -113,14 +113,18 @@ def indicator_pairs(
 ) -> tuple[Array, Array]:
     """Edges of the indicator affinities: candidate pairs within eps and
     the mask of pairs whose gap in ``stack`` (n, D, D) stays within
-    ``threshold``.  Models flagged in ``degenerate`` never connect.
+    ``threshold``.  Nodes flagged in ``dead`` never connect, and no gap is
+    computed for a pair that touches one: ``keep`` is filled a _GAP_BLOCK
+    of pairs at a time, from the gaps of that block's live pairs only.
     """
     pairs = index.pairs_within(eps)
-    # gaps only between live models; with none degenerate, all pairs are live
-    live = (~(degenerate[pairs[:, 0]] | degenerate[pairs[:, 1]]) if degenerate.any()
-            else slice(None))
     keep = np.zeros(len(pairs), dtype=bool)
-    keep[live] = pairwise_diff_norms(stack, pairs[live], norm) <= threshold
+    for start in range(0, len(pairs), _GAP_BLOCK):
+        block = pairs[start:start + _GAP_BLOCK]
+        # np.take: fancy indexing took about 10x as long for a block's rows
+        live = np.flatnonzero(~(np.take(dead, block[:, 0]) | np.take(dead, block[:, 1])))
+        gaps = pairwise_diff_norms(stack, np.take(block, live, axis=0), norm)
+        keep[start + live] = gaps <= threshold
     return pairs, keep
 
 

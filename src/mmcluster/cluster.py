@@ -78,13 +78,15 @@ class Labeling:
     ``removed`` holds the indices deleted by the intersection-removal step
     before their reassignment, when the pipeline has such a step.  ``info``
     holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
-    used (None where it used none), ``cluster_sizes``, and for the
-    center-graph pipelines ``n_centers``, ``center_indices``, the stored
-    pairs ``n_edges`` of the center affinity graph, the count
-    ``n_isolated`` of centers with no stored pair, the component count
-    ``n_components`` of the other centers, and the spectral step's
-    ``eigenvalues``, ``eigengap`` and ``kmeans_inertia`` (None where no
-    eigensolver ran: one center, or as many components as clusters).
+    used (None where it used none), ``cluster_sizes``, the edge count
+    ``n_edges`` of its graph (alg2: kept edges between survivors; alg3:
+    kept edges; the center-graph pipelines: stored pairs of the center
+    affinity), and for the center-graph pipelines ``n_centers``,
+    ``center_indices``, the count ``n_isolated`` of centers with no
+    stored pair, the component count ``n_components`` of the other
+    centers, and the spectral step's ``eigenvalues``, ``eigengap`` and
+    ``kmeans_inertia`` (None where no eigensolver ran: one center, or as
+    many components as clusters).
     ``njw_partition`` fills the last four of these.
     """
 
@@ -199,7 +201,9 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
     descending order, the ``eigengap`` lambda_k - lambda_k+1 (None when
     k = m) and the ``kmeans_inertia``; the last three are None when c = k.
     """
-    ids = connected_components(m, np.column_stack([row, col]))
+    # one orientation of each stored pair: the lower triangle, which eigh reads
+    lower = row > col
+    ids = connected_components(m, np.column_stack([row[lower], col[lower]]))
     c = int(ids.max())
     info = {"n_components": c, **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
     if c == k:
@@ -302,47 +306,47 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                               norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local covariances.
 
-    Steps: local covariances over r-balls; binary affinity (distance
-    within eps, covariance gap within eta * r^2); removal of any point
-    having an r-neighbor with covariance gap above eta * r^2; connected
-    components of the surviving subgraph; removed points join their
-    nearest survivor's component.
+    Steps: local covariances over r-balls; removal of any point having an
+    r-neighbor with covariance gap above eta * r^2; binary affinity
+    (distance within eps, covariance gap within eta * r^2) between the
+    surviving, non-degenerate points, so no gap is computed for a pair
+    that touches the removed band; connected components of that graph;
+    removed points join their nearest survivor's component.  ``info``
+    holds ``n_edges``, the edges kept between survivors.
     """
     index = build_index(cloud)
     n = cloud.n
     pairs_r = index.pairs_within(params.r)
     models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), d=1)
-    pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate, index,
-                                      params.eps, params.eta * params.r**2, norm)
-    edges = pairs[keep]
+    threshold = params.eta * params.r**2
 
     removed_mask = np.zeros(n, dtype=bool)
     gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
-    bad = pairs_r[gaps > params.eta * params.r**2]
-    removed_mask[bad.ravel()] = True
-
+    removed_mask[pairs_r[gaps > threshold].ravel()] = True
     survivors = np.flatnonzero(~removed_mask)
     removed = np.flatnonzero(removed_mask)
     if survivors.size == 0:
         raise AllPointsRemoved("the removal step deleted every point")
 
-    # removed points keep no edges; the survivors' components are then
+    pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate | removed_mask,
+                                      index, params.eps, threshold, norm)
+    # removed points keep no edges; the survivors' components are
     # renumbered by smallest survivor
-    ids = connected_components(
-        n, edges[~(removed_mask[edges[:, 0]] | removed_mask[edges[:, 1]])])
+    ids = connected_components(n, pairs[keep])
     ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
     if removed.size:
         assignments[removed] = assign_to_closest_survivor(cloud, removed, survivors, ids_sub)
     return Labeling(assignments=assignments, K_found=k_found, removed=removed,
-                    info=_scales_info(params, assignments, k_found))
+                    info=_scales_info(params, assignments, k_found, keep))
 
 
 def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
                                norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local projections with
-    thresholded dimension estimation.  May return more than two groups."""
+    thresholded dimension estimation.  May return more than two groups.
+    ``info`` holds ``n_edges``, the edges kept."""
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
     index = build_index(cloud)
@@ -353,15 +357,16 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
                                       params.eps, params.eta, norm)
     ids = connected_components(cloud.n, pairs[keep])
     k_found = int(ids.max())
-    return Labeling(assignments=ids, K_found=k_found, info=_scales_info(params, ids, k_found))
+    return Labeling(assignments=ids, K_found=k_found,
+                    info=_scales_info(params, ids, k_found, keep))
 
 
 def _cluster_sizes(labels: Array, k_found: int) -> list[int]:
     return np.bincount(labels, minlength=k_found + 1)[1:].tolist()
 
 
-def _scales_info(params: aff.ScaleParams, labels: Array, k_found: int) -> dict:
-    return {"eps": params.eps, "eta": params.eta,
+def _scales_info(params: aff.ScaleParams, labels: Array, k_found: int, keep: Array) -> dict:
+    return {"eps": params.eps, "eta": params.eta, "n_edges": int(np.count_nonzero(keep)),
             "cluster_sizes": _cluster_sizes(labels, k_found)}
 
 

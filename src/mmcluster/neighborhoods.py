@@ -105,28 +105,31 @@ def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generat
 
 def connected_components(n_nodes: int, edges: Array) -> Array:
     """1-based component id per node of the undirected graph on
-    [0..n_nodes) with the (m, 2) pairs ``edges``, numbered by smallest
-    contained node.  Self-loops and repeated pairs change nothing.
+    [0..n_nodes) with the (m, 2) pairs ``edges``, in either orientation,
+    numbered by smallest contained node.  Self-loops and repeated pairs
+    change nothing.
 
-    Each round hooks every root onto the smallest root it shares an edge
-    with, then points every node at its root, until no edge joins two
-    trees.  Hooks only go to smaller nodes, so the trees stay acyclic and
-    each root is the smallest node of its tree.
+    Each round hooks every root onto the smallest root it shares a pair
+    with, then points every node at its root (Shiloach & Vishkin 1982).
+    Every node starts as its own root, so the first round hooks on the
+    given pairs; each later round sees only the pairs that still join two
+    trees, as pairs of their roots.  Hooks only go to smaller nodes, so
+    the trees stay acyclic and each root is the smallest node of its tree.
     """
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise InvalidInput("edge endpoint out of range")
     root = np.arange(n_nodes)
     i, j = edges.T
-    while True:
-        ri, rj = root[i], root[j]
-        if np.array_equal(ri, rj):
-            return renumber_first_occurrence(root)[0]
-        # an edge within one tree offers its own root, which changes nothing
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+    while i.size:
+        np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
+        i, j = root[i], root[j]
+        cross = i != j
+        i, j = i[cross], j[cross]
+    return renumber_first_occurrence(root)[0]
 
 
 def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:

@@ -249,6 +249,33 @@ class TestPairGaps:
         np.testing.assert_array_equal(keep, want_keep)
         assert 0 < keep.sum() < keep.size
 
+    @pytest.mark.parametrize("flagged", [0, 1, 30])
+    def test_indicator_pairs_gap_live_pairs_block_by_block(self, flagged, monkeypatch):
+        # a small block, so that 200 models span many blocks and a short last one
+        monkeypatch.setattr(aff, "_GAP_BLOCK", 97)
+        rng = np.random.default_rng(flagged)
+        models = TestSparseShape.random_models(rng, 200, 3, degenerate=False)
+        dead = np.zeros(200, dtype=bool)
+        dead[rng.permutation(200)[:flagged]] = True
+        gapped = []
+        real = aff.pairwise_diff_norms
+
+        def spy(stack, pairs, norm):
+            assert len(pairs) <= aff._GAP_BLOCK
+            assert not dead[pairs].any()
+            gapped.append(pairs.copy())
+            return real(stack, pairs, norm)
+
+        monkeypatch.setattr(aff, "pairwise_diff_norms", spy)
+        index = build_index(PointCloud(models.centers))
+        pairs, keep = aff.indicator_pairs(models.projection, dead, index, 0.3, 0.8, "spectral")
+        live = ~dead[pairs].any(axis=1)
+        assert len(pairs) > 10 * aff._GAP_BLOCK
+        np.testing.assert_array_equal(np.concatenate(gapped), pairs[live])
+        want = np.zeros(len(pairs), dtype=bool)
+        want[live] = real(models.projection, pairs[live], "spectral") <= 0.8
+        np.testing.assert_array_equal(keep, want)
+
 
 class TestProjectionGaps:
     """``_projection_gaps`` against the exact spectral norms of the

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from conftest import ball_models
 from mmcluster import cli, cluster
-from mmcluster.affinity import auto_epsilon, auto_eta, gaussian_product_affinity
+from mmcluster.affinity import ScaleParams, auto_epsilon, auto_eta, gaussian_product_affinity
 from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
 
 
@@ -148,6 +148,21 @@ class TestCluster:
         labels = out.read_text().splitlines()
         assert labels[0] == "label"
         assert set(labels[1:]) == {"1"}
+
+    @pytest.mark.parametrize("method", ["alg2", "alg3"])
+    def test_components_report_n_edges(self, tmp_path, method):
+        data = tmp_path / "seg.csv"
+        segment_csv(data)
+        out = tmp_path / "labels.csv"
+        rc = run_cli(["cluster", data, "--method", method, "--r", 0.1,
+                      "--eps", 0.2, "--eta", 0.5, "--out", out])
+        assert rc == 0
+        report = json.loads((tmp_path / "labels.csv.report.json").read_text())
+        run = {"alg2": cluster.algorithm2_cov_components,
+               "alg3": cluster.algorithm3_proj_components}[method]
+        lab = run(cli.read_cloud_csv(str(data)), ScaleParams(r=0.1, eps=0.2, eta=0.5))
+        assert type(report["n_edges"]) is int
+        assert report["n_edges"] == lab.info["n_edges"] > 0
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = run_cli(["cluster", tmp_path / "nope.csv", "--method", "alg4",

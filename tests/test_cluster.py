@@ -30,9 +30,12 @@ from mmcluster.cluster import (
 from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
 from mmcluster.evaluation import misclustering_rate
+from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import (
     PointCloud,
+    assign_to_closest_survivor,
     build_index,
+    pair_balls,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -519,6 +522,50 @@ class TestCenterPartition:
 
 
 THEOREM1_PARAMS = ScaleParams(r=0.05, eps=0.25, eta=0.12)
+# tau > 0 and a tight eta: alg2 removes a band of about 200 of the 1000
+# points and finds 4 components, alg3 finds 3
+NOISY_PARAMS = ScaleParams(r=0.12, eps=0.2, eta=0.2)
+
+
+def point_models(cloud, r, **mode):
+    """``batch_local_models`` over the closed r-balls of every point, as
+    alg2 and alg3 call it."""
+    pairs_r = build_index(cloud).pairs_within(r)
+    return batch_local_models(cloud, cloud.coords, *pair_balls(cloud.n, pairs_r), **mode)
+
+
+def brute_force_edges(coords, stack, dead, eps, threshold, norm):
+    """Every pair i < j of points within eps, neither of them ``dead``,
+    whose gap in ``stack`` is within ``threshold``; no tree."""
+    i, j = np.triu_indices(len(coords), k=1)
+    diff = coords[i] - coords[j]
+    near = (diff * diff).sum(axis=1) <= eps * eps
+    pairs = np.column_stack([i[near], j[near]])
+    pairs = pairs[~dead[pairs].any(axis=1)]
+    return pairs[pairwise_diff_norms(stack, pairs, norm) <= threshold]
+
+
+def filter_after_edge_test_alg2(cloud, params, norm):
+    """alg2 in its former order: the edge test on every non-degenerate
+    pair, then the edges that touch the removed band are dropped, and
+    SciPy finds the survivors' components.  Returns the labels, the
+    removed points, the cluster count and the edges left."""
+    models = point_models(cloud, params.r, d=1)
+    threshold = params.eta * params.r**2
+    edges = brute_force_edges(cloud.coords, models.covariance, models.degenerate,
+                              params.eps, threshold, norm)
+    pairs_r = build_index(cloud).pairs_within(params.r)
+    band = np.zeros(cloud.n, dtype=bool)
+    band[pairs_r[pairwise_diff_norms(models.covariance, pairs_r, norm) > threshold]] = True
+    edges = edges[~band[edges].any(axis=1)]
+    graph = sparse.coo_array((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                             shape=(cloud.n, cloud.n))
+    ids = connected_components(graph, directed=False)[1]
+    survivors, removed = np.flatnonzero(~band), np.flatnonzero(band)
+    labels = np.zeros(cloud.n, dtype=int)
+    labels[survivors], k = renumber_first_occurrence(ids[survivors])
+    labels[removed] = assign_to_closest_survivor(cloud, removed, survivors, labels[survivors])
+    return labels, removed, k, len(edges)
 
 
 class TestAlgorithm2:
@@ -567,6 +614,18 @@ class TestAlgorithm2:
             assert (i in removed) == bool((gaps > params.eta * params.r**2).any())
 
 
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_filter_after_edge_test(self, seed, norm):
+        cloud = crossing_cloud(seed=seed, n=1000, tau=0.01)
+        lab = algorithm2_cov_components(cloud, NOISY_PARAMS, norm=norm)
+        labels, removed, k, n_edges = filter_after_edge_test_alg2(cloud, NOISY_PARAMS, norm)
+        assert removed.size > 0 and k >= 2
+        np.testing.assert_array_equal(lab.removed, removed)
+        np.testing.assert_array_equal(lab.assignments, labels)
+        assert (lab.K_found, lab.info["n_edges"]) == (k, n_edges)
+
+
 class TestAlgorithm3:
     def test_single_segment_one_component(self):
         cloud = single_segment_cloud()
@@ -596,6 +655,15 @@ class TestAlgorithm3:
             far_ids = set(np.unique(lab.assignments[far]).tolist())
             near_ids = set(np.unique(lab.assignments[near]).tolist())
             assert not (far_ids & near_ids)
+
+    def test_n_edges_matches_brute_force(self):
+        cloud = crossing_cloud(seed=0, n=1000, tau=0.01)
+        lab = algorithm3_proj_components(cloud, NOISY_PARAMS)
+        models = point_models(cloud, NOISY_PARAMS.r, eta=NOISY_PARAMS.eta)
+        edges = brute_force_edges(cloud.coords, models.projection, models.degenerate,
+                                  NOISY_PARAMS.eps, NOISY_PARAMS.eta, "spectral")
+        assert lab.info["n_edges"] == len(edges) > 0
+        assert lab.K_found >= 2
 
     def test_eta_must_be_below_one(self):
         cloud = single_segment_cloud(100)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from mmcluster import neighborhoods
 from mmcluster.errors import InvalidInput, NoSurvivors
@@ -200,6 +202,27 @@ class TestConnectedComponents:
         for a in range(n):
             for b in range(a + 1, n):
                 assert (base[a] == base[b]) == (mapped[perm[a]] == mapped[perm[b]])
+
+    @given(st.data())
+    def test_matches_csgraph(self, data):
+        # few random pairs leave many components and isolated nodes; the
+        # pairs come with self-loops, repeats and both orientations; each
+        # chain lists its links from its largest node down, so its first
+        # hooks make one path as deep as the chain for the pointer jumping
+        n = data.draw(st.integers(1, 300), label="n")
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=n // 2), label="pairs")
+        loops = data.draw(st.lists(node, max_size=5), label="loops")
+        chains = data.draw(st.lists(st.tuples(node, node), max_size=3), label="chains")
+        edges = [*pairs, *pairs[:5], *[(b, a) for a, b in pairs[::2]], *zip(loops, loops)]
+        for a, b in chains:
+            edges += [(k + 1, k) for k in range(max(a, b) - 1, min(a, b) - 1, -1)]
+        edges = np.array(edges, dtype=int).reshape(-1, 2)
+        graph = sparse.coo_array((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                                 shape=(n, n))
+        want = csgraph.connected_components(graph, directed=False)[1]
+        np.testing.assert_array_equal(connected_components(n, edges),
+                                      renumber_first_occurrence(want)[0])
 
     def test_first_occurrence_numbering_random_labels(self):
         def loop_oracle(raw):
