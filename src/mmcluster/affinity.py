@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModels
-from .neighborhoods import NeighborhoodIndex, PointCloud, balls, build_index
+from .neighborhoods import PointCloud, balls, build_index
 
 Array = np.ndarray
 
@@ -103,37 +103,31 @@ def _projection_gaps(models: LocalModels, pairs: Array) -> Array:
     return gaps
 
 
-def indicator_pairs(
-    stack: Array,
-    dead: Array,
-    index: NeighborhoodIndex,
-    eps: float,
-    threshold: float,
-    norm: str,
-) -> tuple[Array, Array]:
-    """Edges of the indicator affinities: candidate pairs within eps and
-    the mask of pairs whose gap in ``stack`` (n, D, D) stays within
-    ``threshold``.  Nodes flagged in ``dead`` never connect, and no gap is
-    computed for a pair that touches one: ``keep`` is filled a _GAP_BLOCK
-    of pairs at a time, from the gaps of that block's live pairs only.
+def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
+                    threshold: float, norm: str) -> tuple[Array, Array]:
+    """Edges of the indicator affinities: the pairs (i < j) of nodes not
+    flagged in ``dead`` whose points in ``coords`` lie within eps, and
+    the mask of those whose gap in ``stack`` (n, D, D) stays within
+    ``threshold``, filled a _GAP_BLOCK of pairs at a time.  Dead nodes
+    never connect, so the pairs come from a KD-tree over the live points
+    only: no pair touches a dead node, and none costs a query or a gap.
     """
-    pairs = index.pairs_within(eps)
-    keep = np.zeros(len(pairs), dtype=bool)
+    live = np.flatnonzero(~dead)
+    tree = cKDTree(np.take(coords, live, axis=0))
+    pairs = np.take(live, tree.query_pairs(eps, output_type="ndarray").reshape(-1, 2))
+    keep = np.empty(len(pairs), dtype=bool)
     for start in range(0, len(pairs), _GAP_BLOCK):
         block = pairs[start:start + _GAP_BLOCK]
-        # np.take: fancy indexing took about 10x as long for a block's rows
-        live = np.flatnonzero(~(np.take(dead, block[:, 0]) | np.take(dead, block[:, 1])))
-        gaps = pairwise_diff_norms(stack, np.take(block, live, axis=0), norm)
-        keep[start + live] = gaps <= threshold
+        keep[start:start + _GAP_BLOCK] = pairwise_diff_norms(stack, block, norm) <= threshold
     return pairs, keep
 
 
 def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
     """n x n COO matrix with ``vals`` at the (i < j) ``pairs`` and their
     mirrors; values below _FLOOR are not stored."""
-    kept = np.flatnonzero(vals >= _FLOOR)
-    i, j = pairs[kept].T
-    vals = vals[kept]
+    kept = vals >= _FLOOR
+    i, j = np.compress(kept, pairs, axis=0).T
+    vals = np.compress(kept, vals)
     return sparse.coo_array((np.concatenate([vals, vals]),
                              (np.concatenate([i, j]), np.concatenate([j, i]))),
                             shape=(n, n))
@@ -141,8 +135,9 @@ def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
 
 def _indicator(models: LocalModels, stack: Array, eps: float, threshold: float,
                norm: str) -> sparse.coo_array:
-    index = build_index(PointCloud(models.centers))
-    pairs, keep = indicator_pairs(stack, models.degenerate, index, eps, threshold, norm)
+    """The indicator affinity of ``indicator_pairs`` over the centers."""
+    pairs, keep = indicator_pairs(stack, models.degenerate, models.centers, eps,
+                                  threshold, norm)
     return _symmetric(len(models), pairs, keep.astype(float))
 
 
@@ -174,7 +169,7 @@ def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
     exp(-||y_i - y_j||^2 / eps^2); every pair left out is below
     exp(-_CUTOFF^2)."""
     pairs = build_index(PointCloud(y)).pairs_within(_CUTOFF * eps)
-    diff = y[pairs[:, 0]] - y[pairs[:, 1]]
+    diff = np.take(y, pairs[:, 0], axis=0) - np.take(y, pairs[:, 1], axis=0)
     return pairs, np.exp(-(diff * diff).sum(axis=1) / eps**2)
 
 
@@ -284,7 +279,8 @@ def auto_epsilon(centers: Array) -> float:
     tree = cKDTree(centers)
     counts, members = balls(tree, centers, tree.query(centers, k=2)[0][:, 1] * (1 + 1e-9))
     owner = np.repeat(np.arange(centers.shape[0]), counts)
-    d = np.sqrt(((centers[owner] - centers[members]) ** 2).sum(axis=1))
+    diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
+    d = np.sqrt((diff ** 2).sum(axis=1))
     d[owner == members] = np.inf
     return float(np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
 
@@ -301,14 +297,14 @@ def auto_eta(models: LocalModels, eps: float) -> float:
     """Projection scale: median of ||Q_i - Q_j|| over center pairs closer
     than eps (strict inequality; spectral norm)."""
     y = models.centers
-    i, j = build_index(PointCloud(y)).pairs_within(eps * (1 + 1e-9)).T
+    pairs = build_index(PointCloud(y)).pairs_within(eps * (1 + 1e-9))
     # compare distances, not squared distances: eps is itself a pairwise
     # distance (eq. for the spatial scale), and the strict < must see the
     # boundary pair exactly
-    dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
-    close = dist < eps
+    diff = np.take(y, pairs[:, 0], axis=0) - np.take(y, pairs[:, 1], axis=0)
+    close = np.sqrt((diff ** 2).sum(axis=1)) < eps
     if not close.any():
         raise NoPairsInRange("no center pair strictly within eps")
-    vals = pairwise_diff_norms(models.projection, np.column_stack([i[close], j[close]]),
+    vals = pairwise_diff_norms(models.projection, np.compress(close, pairs, axis=0),
                                "spectral")
     return lower_median(vals)

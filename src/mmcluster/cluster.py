@@ -309,30 +309,29 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     Steps: local covariances over r-balls; removal of any point having an
     r-neighbor with covariance gap above eta * r^2; binary affinity
     (distance within eps, covariance gap within eta * r^2) between the
-    surviving, non-degenerate points, so no gap is computed for a pair
-    that touches the removed band; connected components of that graph;
+    surviving, non-degenerate points, so no pair that touches the removed
+    band is queried or gapped; connected components of that graph;
     removed points join their nearest survivor's component.  ``info``
     holds ``n_edges``, the edges kept between survivors.
     """
-    index = build_index(cloud)
     n = cloud.n
-    pairs_r = index.pairs_within(params.r)
+    pairs_r = build_index(cloud).pairs_within(params.r)
     models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), d=1)
     threshold = params.eta * params.r**2
 
     removed_mask = np.zeros(n, dtype=bool)
     gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
-    removed_mask[pairs_r[gaps > threshold].ravel()] = True
+    removed_mask[np.compress(gaps > threshold, pairs_r, axis=0).ravel()] = True
     survivors = np.flatnonzero(~removed_mask)
     removed = np.flatnonzero(removed_mask)
     if survivors.size == 0:
         raise AllPointsRemoved("the removal step deleted every point")
 
     pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate | removed_mask,
-                                      index, params.eps, threshold, norm)
+                                      cloud.coords, params.eps, threshold, norm)
     # removed points keep no edges; the survivors' components are
     # renumbered by smallest survivor
-    ids = connected_components(n, pairs[keep])
+    ids = connected_components(n, np.compress(keep, pairs, axis=0))
     ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
@@ -349,13 +348,12 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     ``info`` holds ``n_edges``, the edges kept."""
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
-    index = build_index(cloud)
     models = batch_local_models(cloud, cloud.coords,
-                                *pair_balls(cloud.n, index.pairs_within(params.r)),
+                                *pair_balls(cloud.n, build_index(cloud).pairs_within(params.r)),
                                 eta=params.eta)
-    pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
+    pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
                                       params.eps, params.eta, norm)
-    ids = connected_components(cloud.n, pairs[keep])
+    ids = connected_components(cloud.n, np.compress(keep, pairs, axis=0))
     k_found = int(ids.max())
     return Labeling(assignments=ids, K_found=k_found,
                     info=_scales_info(params, ids, k_found, keep))

@@ -232,22 +232,50 @@ class TestPairGaps:
                                       self.reference_norms(stack, pairs, norm))
         assert aff.pairwise_diff_norms(stack, pairs[:0], norm).shape == (0,)
 
+    @staticmethod
+    def pair_set(pairs):
+        """The pairs as a set of sorted rows; no pair may repeat."""
+        rows = set(map(tuple, np.sort(pairs, axis=1).tolist()))
+        assert len(rows) == len(pairs)
+        return rows
+
     @pytest.mark.parametrize("flagged", [0, 1, 30])
     @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
     def test_indicator_pairs_match_reference(self, flagged, norm):
+        # the pairs within eps of the tree over every center, the dead
+        # ones dropped: the same set, whatever their order
         rng = np.random.default_rng(flagged)
         models = TestSparseShape.random_models(rng, 200, 3, degenerate=False)
         models.degenerate[rng.permutation(200)[:flagged]] = True
         index = build_index(PointCloud(models.centers))
         eps, threshold = 0.3, 0.8
-        pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, index,
-                                          eps, threshold, norm)
+        pairs, keep = aff.indicator_pairs(models.projection, models.degenerate,
+                                          models.centers, eps, threshold, norm)
         want_pairs = index.pairs_within(eps)
-        want_keep = self.reference_norms(models.projection, want_pairs, norm) <= threshold
-        want_keep &= ~models.degenerate[want_pairs].any(axis=1)
-        np.testing.assert_array_equal(pairs, want_pairs)
+        want_pairs = want_pairs[~models.degenerate[want_pairs].any(axis=1)]
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert not models.degenerate[pairs].any()
+        assert self.pair_set(pairs) == self.pair_set(want_pairs)
+        want_keep = self.reference_norms(models.projection, pairs, norm) <= threshold
         np.testing.assert_array_equal(keep, want_keep)
         assert 0 < keep.sum() < keep.size
+
+    @pytest.mark.parametrize("eps", [0.1, 0.1 * math.sqrt(2)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_indicator_pairs_on_a_lattice(self, dim, eps):
+        # grid step 0.1: the nearest (and for 0.1 sqrt(2) the diagonal)
+        # neighbours lie at eps up to rounding, so the tree over the live
+        # points must decide every pair at the boundary as the full tree does
+        side = {1: 60, 2: 12, 3: 6, 4: 4}[dim]
+        grid = np.stack(np.meshgrid(*[np.arange(side) * 0.1] * dim, indexing="ij"), -1)
+        coords = grid.reshape(-1, dim)
+        full = build_index(PointCloud(coords)).pairs_within(eps)
+        stack = np.zeros((len(coords), dim, dim))
+        for seed in range(5):
+            dead = np.random.default_rng(seed).uniform(size=len(coords)) < 0.1 * seed
+            pairs, keep = aff.indicator_pairs(stack, dead, coords, eps, 0.5, "spectral")
+            assert self.pair_set(pairs) == self.pair_set(full[~dead[full].any(axis=1)])
+            assert keep.all()
 
     @pytest.mark.parametrize("flagged", [0, 1, 30])
     def test_indicator_pairs_gap_live_pairs_block_by_block(self, flagged, monkeypatch):
@@ -267,8 +295,8 @@ class TestPairGaps:
             return real(stack, pairs, norm)
 
         monkeypatch.setattr(aff, "pairwise_diff_norms", spy)
-        index = build_index(PointCloud(models.centers))
-        pairs, keep = aff.indicator_pairs(models.projection, dead, index, 0.3, 0.8, "spectral")
+        pairs, keep = aff.indicator_pairs(models.projection, dead, models.centers, 0.3, 0.8,
+                                          "spectral")
         live = ~dead[pairs].any(axis=1)
         assert len(pairs) > 10 * aff._GAP_BLOCK
         np.testing.assert_array_equal(np.concatenate(gapped), pairs[live])

@@ -568,6 +568,40 @@ def filter_after_edge_test_alg2(cloud, params, norm):
     return labels, removed, k, len(edges)
 
 
+def masked_pairs_alg3(cloud, params, norm):
+    """alg3 in its former formulation: every pair within eps from the tree
+    over all points, with the pairs that touch a degenerate model masked
+    out after the edge test, and SciPy's components.  Returns the labels,
+    the cluster count, the edges kept and the number of masked pairs."""
+    models = point_models(cloud, params.r, eta=params.eta)
+    pairs = build_index(cloud).pairs_within(params.eps)
+    dead = models.degenerate[pairs].any(axis=1)
+    keep = (pairwise_diff_norms(models.projection, pairs, norm) <= params.eta) & ~dead
+    edges = pairs[keep]
+    graph = sparse.coo_array((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                             shape=(cloud.n, cloud.n))
+    labels, k = renumber_first_occurrence(connected_components(graph, directed=False)[1])
+    return labels, k, len(edges), int(dead.sum())
+
+
+def with_degenerate_points(cloud, seed):
+    """``cloud`` plus lone points and duplicated pairs that lie beyond r
+    (NOISY_PARAMS) of every other point but within eps of the cloud: their
+    balls hold one point or two identical ones, so their models are
+    degenerate, and their pairs within eps touch a dead node."""
+    rng = np.random.default_rng(seed)
+    tree = build_index(cloud).tree
+    extra = []
+    for x in cloud.coords[rng.permutation(cloud.n)[:200]]:
+        step = rng.normal(size=2)
+        p = x + 0.16 * step / np.linalg.norm(step)
+        gap = tree.query(p)[0]
+        if 0.13 < gap < 0.19 and all(math.dist(p, q) > 0.13 for q in extra):
+            extra.append(p)
+    extra = np.array(extra[:12])
+    return PointCloud(np.vstack([cloud.coords, extra, extra[::2]]))
+
+
 class TestAlgorithm2:
     def test_single_segment_one_component(self):
         cloud = single_segment_cloud()
@@ -664,6 +698,16 @@ class TestAlgorithm3:
                                   NOISY_PARAMS.eps, NOISY_PARAMS.eta, "spectral")
         assert lab.info["n_edges"] == len(edges) > 0
         assert lab.K_found >= 2
+
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_masked_full_pair_list(self, seed, norm):
+        cloud = with_degenerate_points(crossing_cloud(seed=seed, n=1000, tau=0.01), seed)
+        lab = algorithm3_proj_components(cloud, NOISY_PARAMS, norm=norm)
+        labels, k, n_edges, n_masked = masked_pairs_alg3(cloud, NOISY_PARAMS, norm)
+        assert n_masked > 0 and k >= 2
+        np.testing.assert_array_equal(lab.assignments, labels)
+        assert (lab.K_found, lab.info["n_edges"]) == (k, n_edges)
 
     def test_eta_must_be_below_one(self):
         cloud = single_segment_cloud(100)
