@@ -35,7 +35,6 @@ from .local_pca import (
     local_covariance,
 )
 from .neighborhoods import (
-    NeighborhoodIndex,
     PointCloud,
     assign_to_closest_survivor,
     build_index,
@@ -52,7 +51,6 @@ __all__ = [
     "Labeling",
     "LocalModels",
     "MethodConfig",
-    "NeighborhoodIndex",
     "PointCloud",
     "ScaleParams",
     "TrialStats",

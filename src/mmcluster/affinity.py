@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModels
-from .neighborhoods import PointCloud, balls, build_index
+from .neighborhoods import balls, build_index, pairs_within
 
 Array = np.ndarray
 
@@ -113,8 +112,7 @@ def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
     only: no pair touches a dead node, and none costs a query or a gap.
     """
     live = np.flatnonzero(~dead)
-    tree = cKDTree(np.take(coords, live, axis=0))
-    pairs = np.take(live, tree.query_pairs(eps, output_type="ndarray").reshape(-1, 2))
+    pairs = np.take(live, pairs_within(np.take(coords, live, axis=0), eps))
     keep = np.empty(len(pairs), dtype=bool)
     for start in range(0, len(pairs), _GAP_BLOCK):
         block = pairs[start:start + _GAP_BLOCK]
@@ -168,7 +166,7 @@ def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
     """Center pairs (i < j) within _CUTOFF * eps and their factors
     exp(-||y_i - y_j||^2 / eps^2); every pair left out is below
     exp(-_CUTOFF^2)."""
-    pairs = build_index(PointCloud(y)).pairs_within(_CUTOFF * eps)
+    pairs = pairs_within(y, _CUTOFF * eps)
     diff = np.take(y, pairs[:, 0], axis=0) - np.take(y, pairs[:, 1], axis=0)
     return pairs, np.exp(-(diff * diff).sum(axis=1) / eps**2)
 
@@ -208,7 +206,7 @@ def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
         raise InvalidInput("ell must be >= 1")
     if ell >= n:
         raise InvalidInput("ell must be smaller than the number of points")
-    dist, nn = cKDTree(y).query(y, k=ell + 1)
+    dist, nn = build_index(y).query(y, k=ell + 1)
     rows = np.repeat(np.arange(n), ell)
     cols = nn[:, 1:].ravel()
     off = rows != cols
@@ -252,7 +250,7 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
     if (eps_i == 0).any():
         raise InvalidInput("gong affinity requires distinct points up to the ell-th neighbor")
     # s <= _CUTOFF^2 implies d <= _CUTOFF * max eps_i
-    pairs = build_index(PointCloud(y)).pairs_within(_CUTOFF * eps_i.max() * (1 + 1e-9))
+    pairs = pairs_within(y, _CUTOFF * eps_i.max() * (1 + 1e-9))
     i, j = pairs.T
     diff = y[i] - y[j]
     s = (diff * diff).sum(axis=1) / (eps_i[i] * eps_i[j])
@@ -276,7 +274,7 @@ def auto_epsilon(centers: Array) -> float:
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise TooFewCenters("need at least two centers to select eps")
-    tree = cKDTree(centers)
+    tree = build_index(centers)
     counts, members = balls(tree, centers, tree.query(centers, k=2)[0][:, 1] * (1 + 1e-9))
     owner = np.repeat(np.arange(centers.shape[0]), counts)
     diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
@@ -297,7 +295,7 @@ def auto_eta(models: LocalModels, eps: float) -> float:
     """Projection scale: median of ||Q_i - Q_j|| over center pairs closer
     than eps (strict inequality; spectral norm)."""
     y = models.centers
-    pairs = build_index(PointCloud(y)).pairs_within(eps * (1 + 1e-9))
+    pairs = pairs_within(y, eps * (1 + 1e-9))
     # compare distances, not squared distances: eps is itself a pairwise
     # distance (eq. for the spatial scale), and the strict < must see the
     # boundary pair exactly

@@ -41,6 +41,7 @@ from .neighborhoods import (
     connected_components,
     nearest_site,
     pair_balls,
+    pairs_within,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -162,6 +163,8 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidInput("rows must be a 2-d array")
+    if not np.isfinite(rows).all():
+        raise InvalidInput("rows contain non-finite values")
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if rows.shape[0] < k:
@@ -315,7 +318,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     holds ``n_edges``, the edges kept between survivors.
     """
     n = cloud.n
-    pairs_r = build_index(cloud).pairs_within(params.r)
+    pairs_r = pairs_within(cloud.coords, params.r)
     models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), d=1)
     threshold = params.eta * params.r**2
 
@@ -349,7 +352,7 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
     models = batch_local_models(cloud, cloud.coords,
-                                *pair_balls(cloud.n, build_index(cloud).pairs_within(params.r)),
+                                *pair_balls(cloud.n, pairs_within(cloud.coords, params.r)),
                                 eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
                                       params.eps, params.eta, norm)
@@ -399,14 +402,14 @@ def algorithm4_local_pca_spectral(
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
     aff.check_scales(eps=eps, eta=eta, alpha=alpha)
-    index = build_index(cloud)
-    center_idx = subsample_centers(index, r, rng)
+    tree = build_index(cloud.coords)
+    center_idx = subsample_centers(tree, r, rng)
     n0 = center_idx.size
     if n0 < k:
         raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
     y = cloud.coords[center_idx]
     models = (None if affinity_kind == "distance"
-              else batch_local_models(cloud, y, *balls(index.tree, y, r), d=d))
+              else batch_local_models(cloud, y, *balls(tree, y, r), d=d))
 
     eps_used = eta_used = None
     graph = {"n_edges": 0, "n_components": 1, "n_isolated": 0,

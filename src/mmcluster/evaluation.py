@@ -31,8 +31,12 @@ def misclustering_rate(pred, truth: Array, k: int) -> float:
     truth = np.asarray(truth, int)
     if pred_labels.shape != truth.shape:
         raise InvalidInput("prediction and truth have different lengths")
+    if truth.size == 0:
+        raise InvalidInput("no labels to score")
     if truth.min() < 1 or truth.max() > k:
         raise InvalidInput(f"truth labels must lie in [1..{k}]")
+    if pred_labels.min() < 1:
+        raise InvalidInput("predicted labels must be 1-based")
     n = truth.size
     k_found = int(pred_labels.max())
     table = np.zeros((k, k_found), dtype=int)

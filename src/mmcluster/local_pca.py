@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
-from .neighborhoods import NeighborhoodIndex, PointCloud
+from .neighborhoods import PointCloud, balls, build_index
 
 Array = np.ndarray
 
@@ -117,12 +117,16 @@ def _stack_of_one(c: Array) -> Array:
     return c[None]
 
 
-def local_covariance(cloud: PointCloud, index: NeighborhoodIndex, x: Array, r: float) -> Array:
-    """Sample covariance of the closed r-ball neighborhood of ``x``."""
-    idx = index.query(np.asarray(x, float), r)
-    if idx.size == 0:
+def local_covariance(cloud: PointCloud, x: Array, r: float) -> Array:
+    """Sample covariance of the closed r-ball neighborhood of ``x``, over
+    a tree of its own: an oracle, which no pipeline calls."""
+    x = np.asarray(x, float)
+    if not np.isfinite(x).all():
+        raise InvalidInput("x must be finite")
+    counts, members = balls(build_index(cloud.coords), x[None], r)
+    if members.size == 0:
         raise EmptyNeighborhood(f"no points within r={r} of {x}")
-    return _covariances(cloud.coords, np.array([idx.size]), idx)[0]
+    return _covariances(cloud.coords, counts, members)[0]
 
 
 def estimate_projection(c: Array, d: int) -> Array:
@@ -160,8 +164,9 @@ def batch_local_models(
     ``y`` (n, D) holds the neighborhood centers, which become
     ``LocalModels.centers``; ``counts`` (n,) and ``members`` hold the
     neighborhoods, flat, as ``neighborhoods.balls`` and ``pair_balls``
-    return them.  Exactly one of ``d`` (fixed tangent dimension) and
-    ``eta`` (threshold scale for dimension estimation) must be given.
+    return them: ``counts.sum()`` indices into the cloud.  Exactly one of
+    ``d`` (fixed tangent dimension) and ``eta`` (threshold scale for
+    dimension estimation) must be given.
     """
     if (d is None) == (eta is None):
         raise InvalidInput("pass exactly one of d (fixed) or eta (thresholded)")
@@ -171,6 +176,10 @@ def batch_local_models(
         raise InvalidInput("eta must lie in (0, 1)")
     if not len(counts) == len(y) >= 1 or np.min(counts) < 1:
         raise InvalidInput("need one nonempty neighborhood per center, and a center")
+    # reductions only: no temporary the size of members
+    if (np.sum(counts) != len(members) or np.min(members) < 0
+            or np.max(members) >= cloud.n):
+        raise InvalidInput("members must be counts.sum() indices into the cloud")
     covs = _covariances(cloud.coords, counts, members)
     # a mean that is off by rounding leaves covariance entries of about
     # (D eps_mach max|x|)^2 even for a ball of identical points; no

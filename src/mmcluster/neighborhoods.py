@@ -1,11 +1,13 @@
 """Radius neighborhoods, nearest sites, center subsampling, and graph components.
 
-Every neighborhood is a closed ball: index.query(x, r) returns exactly
-the indices j with ||x - x_j|| <= r.  The KD-tree is an exact
-accelerator, never an approximation.  It also answers nearest-site and
-close-pair queries: its distances, widened by a relative 1e-9, bound the
-candidates, whose distances are then recomputed exactly where the tree
-alone cannot decide.
+Every KD-tree in the package is a plain ``cKDTree`` from
+``build_index``; no other function builds one.  Every neighborhood is a
+closed ball: ``balls(tree, x, r)`` returns exactly the indices j with
+||x - x_j|| <= r, and ``pairs_within(points, r)`` exactly the pairs at
+distance <= r.  The KD-tree is an exact accelerator, never an
+approximation.  It also answers nearest-site queries: its distances,
+widened by a relative 1e-9, bound the candidates, whose distances are
+then recomputed exactly where the tree alone cannot decide.
 """
 
 from __future__ import annotations
@@ -61,28 +63,21 @@ class PointCloud:
         return self.coords.shape[1]
 
 
-class NeighborhoodIndex:
-    """Exact closed-ball radius queries over a point cloud."""
-
-    def __init__(self, cloud: PointCloud):
-        self.cloud = cloud
-        self.tree = cKDTree(cloud.coords)
-
-    def query(self, x: Array, r: float) -> Array:
-        idx = self.tree.query_ball_point(np.asarray(x, float), r, return_sorted=True)
-        return np.asarray(idx, dtype=int)
-
-    def pairs_within(self, r: float) -> Array:
-        """All index pairs (i < j) at distance <= r, as an (m, 2) array."""
-        return self.tree.query_pairs(r, output_type="ndarray").reshape(-1, 2)
+def build_index(points: Array) -> cKDTree:
+    """KD-tree over the rows of ``points``: the one place the package
+    builds a tree."""
+    return cKDTree(points)
 
 
-def build_index(cloud: PointCloud) -> NeighborhoodIndex:
-    return NeighborhoodIndex(cloud)
+def pairs_within(points: Array, r: float) -> Array:
+    """All index pairs (i < j) of rows of ``points`` at distance <= r, as
+    an (m, 2) array."""
+    return build_index(points).query_pairs(r, output_type="ndarray").reshape(-1, 2)
 
 
-def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generator) -> Array:
-    """Greedy r-packing: draw a point, discard its r-ball, repeat.
+def subsample_centers(tree: cKDTree, r: float, rng: np.random.Generator) -> Array:
+    """Greedy r-packing of the ``tree.n`` points ``tree.data``: draw a
+    point, discard its closed r-ball, repeat.
 
     The draw at each step is uniform over points not covered by any
     previously chosen center.  Returns center indices in selection order;
@@ -90,15 +85,13 @@ def subsample_centers(index: NeighborhoodIndex, r: float, rng: np.random.Generat
     """
     if not 0 < r < np.inf:
         raise InvalidInput("radius must be finite and positive")
-    n = index.cloud.n
-    remaining = np.ones(n, dtype=bool)
+    remaining = np.ones(tree.n, dtype=bool)
     centers = []
     while remaining.any():
         candidates = np.flatnonzero(remaining)
         pick = int(candidates[rng.integers(len(candidates))])
         centers.append(pick)
-        covered = index.query(index.cloud.coords[pick], r)
-        remaining[covered] = False
+        remaining[tree.query_ball_point(tree.data[pick], r)] = False
         remaining[pick] = False
     return np.asarray(centers, dtype=int)
 
@@ -172,7 +165,7 @@ def nearest_site(points: Array, sites: Array) -> Array:
     distance (diff * diff).sum() of each point and site decides, and its
     ties go to the lowest position.
     """
-    tree = cKDTree(sites)
+    tree = build_index(sites)
     dist, nearest = tree.query(points, k=2)
     near_tie = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1 + 1e-9) ** 2)
     if near_tie.size:
@@ -190,11 +183,20 @@ def nearest_site(points: Array, sites: Array) -> Array:
 def assign_to_closest_survivor(
     cloud: PointCloud, removed: Array, survivors: Array, survivor_labels: Array
 ) -> Array:
-    """Label each removed point by its nearest survivor (ties: lowest index)."""
+    """Label each removed point by its nearest survivor (ties: lowest index).
+
+    ``removed`` and ``survivors`` index into ``cloud``, and
+    ``survivor_labels`` holds one label per survivor."""
     survivors = np.asarray(survivors, dtype=int)
     removed = np.asarray(removed, dtype=int)
+    survivor_labels = np.asarray(survivor_labels)
     if survivors.size == 0:
         raise NoSurvivors("cannot reassign: no surviving points")
+    if survivor_labels.shape != survivors.shape:
+        raise InvalidInput("need one label per survivor")
+    for idx in (removed, survivors):
+        if idx.size and (idx.min() < 0 or idx.max() >= cloud.n):
+            raise InvalidInput("point index outside the cloud")
     order = np.argsort(survivors, kind="stable")
     nearest = nearest_site(cloud.coords[removed], cloud.coords[survivors[order]])
-    return np.asarray(survivor_labels)[order][nearest]
+    return survivor_labels[order][nearest]

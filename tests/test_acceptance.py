@@ -20,7 +20,7 @@ from mmcluster.cluster import (
 from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.evaluation import MethodConfig, angle_sweep, run_trials
 from mmcluster.local_pca import LocalModels, estimate_projection, local_covariance
-from mmcluster.neighborhoods import PointCloud, build_index
+from mmcluster.neighborhoods import PointCloud
 from mmcluster.seeding import derive_seed
 
 
@@ -106,13 +106,12 @@ def test_criterion_4_worked_example_closed_forms():
     errs = []
     for theta in (math.pi / 2, math.pi / 4):
         cloud = _dense_two_segments(theta)
-        index = build_index(cloud)
         x0 = np.array([1.0, 0.0])
         x1 = np.array([0.5, 0.0])
         x2 = 0.5 * np.array([math.cos(theta), math.sin(theta)])
-        c0 = local_covariance(cloud, index, x0, r)
-        c1 = local_covariance(cloud, index, x1, r)
-        c2 = local_covariance(cloud, index, x2, r)
+        c0 = local_covariance(cloud, x0, r)
+        c1 = local_covariance(cloud, x1, r)
+        c2 = local_covariance(cloud, x2, r)
 
         got_boundary = linalg.frobenius_norm(c0 - c1)
         want_boundary = r**2 / 4

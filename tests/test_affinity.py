@@ -9,7 +9,7 @@ from mmcluster import affinity as aff
 from mmcluster import linalg
 from mmcluster.errors import DimensionMismatch, NoPairsInRange, TooFewCenters
 from mmcluster.local_pca import LocalModels
-from mmcluster.neighborhoods import PointCloud, build_index
+from mmcluster.neighborhoods import PointCloud, pairs_within
 
 
 def model_record(centers, covs=None, projs=None, degenerate=()):
@@ -247,11 +247,10 @@ class TestPairGaps:
         rng = np.random.default_rng(flagged)
         models = TestSparseShape.random_models(rng, 200, 3, degenerate=False)
         models.degenerate[rng.permutation(200)[:flagged]] = True
-        index = build_index(PointCloud(models.centers))
         eps, threshold = 0.3, 0.8
         pairs, keep = aff.indicator_pairs(models.projection, models.degenerate,
                                           models.centers, eps, threshold, norm)
-        want_pairs = index.pairs_within(eps)
+        want_pairs = pairs_within(models.centers, eps)
         want_pairs = want_pairs[~models.degenerate[want_pairs].any(axis=1)]
         assert (pairs[:, 0] < pairs[:, 1]).all()
         assert not models.degenerate[pairs].any()
@@ -269,7 +268,7 @@ class TestPairGaps:
         side = {1: 60, 2: 12, 3: 6, 4: 4}[dim]
         grid = np.stack(np.meshgrid(*[np.arange(side) * 0.1] * dim, indexing="ij"), -1)
         coords = grid.reshape(-1, dim)
-        full = build_index(PointCloud(coords)).pairs_within(eps)
+        full = pairs_within(coords, eps)
         stack = np.zeros((len(coords), dim, dim))
         for seed in range(5):
             dead = np.random.default_rng(seed).uniform(size=len(coords)) < 0.1 * seed

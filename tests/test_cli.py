@@ -276,8 +276,7 @@ class TestCluster:
 
         cloud = cli.read_cloud_csv(str(data))
         rng = np.random.default_rng(seed)
-        index = build_index(cloud)
-        centers = subsample_centers(index, r, rng)
+        centers = subsample_centers(build_index(cloud.coords), r, rng)
         models = ball_models(cloud, centers, r, d=1)
         eps = auto_epsilon(cloud.coords[centers])
         eta = auto_eta(models, eps)

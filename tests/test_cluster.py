@@ -34,8 +34,10 @@ from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import (
     PointCloud,
     assign_to_closest_survivor,
+    balls,
     build_index,
     pair_balls,
+    pairs_within,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -66,8 +68,7 @@ def center_affinity(cloud, r, seed, kind="gauss", eta=None):
     automatic eps, and automatic eta unless given) with the generator of
     seed ``seed``."""
     rng = np.random.default_rng(seed)
-    index = build_index(cloud)
-    centers = subsample_centers(index, r, rng)
+    centers = subsample_centers(build_index(cloud.coords), r, rng)
     y = cloud.coords[centers]
     eps = auto_epsilon(y)
     if kind == "distance":
@@ -116,6 +117,12 @@ class TestKMeans:
         assert res.assignments[0] == res.assignments[1]
         assert res.assignments[2] == res.assignments[3]
         assert res.assignments[0] != res.assignments[2]
+
+    def test_non_finite_rows_rejected(self):
+        # unchecked, a NaN row gives NaN centroids and no error
+        rows = np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 0.0]])
+        with pytest.raises(InvalidInput):
+            kmeans_pp(rows, 2, np.random.default_rng(0))
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
@@ -530,7 +537,7 @@ NOISY_PARAMS = ScaleParams(r=0.12, eps=0.2, eta=0.2)
 def point_models(cloud, r, **mode):
     """``batch_local_models`` over the closed r-balls of every point, as
     alg2 and alg3 call it."""
-    pairs_r = build_index(cloud).pairs_within(r)
+    pairs_r = pairs_within(cloud.coords, r)
     return batch_local_models(cloud, cloud.coords, *pair_balls(cloud.n, pairs_r), **mode)
 
 
@@ -554,7 +561,7 @@ def filter_after_edge_test_alg2(cloud, params, norm):
     threshold = params.eta * params.r**2
     edges = brute_force_edges(cloud.coords, models.covariance, models.degenerate,
                               params.eps, threshold, norm)
-    pairs_r = build_index(cloud).pairs_within(params.r)
+    pairs_r = pairs_within(cloud.coords, params.r)
     band = np.zeros(cloud.n, dtype=bool)
     band[pairs_r[pairwise_diff_norms(models.covariance, pairs_r, norm) > threshold]] = True
     edges = edges[~band[edges].any(axis=1)]
@@ -574,7 +581,7 @@ def masked_pairs_alg3(cloud, params, norm):
     out after the edge test, and SciPy's components.  Returns the labels,
     the cluster count, the edges kept and the number of masked pairs."""
     models = point_models(cloud, params.r, eta=params.eta)
-    pairs = build_index(cloud).pairs_within(params.eps)
+    pairs = pairs_within(cloud.coords, params.eps)
     dead = models.degenerate[pairs].any(axis=1)
     keep = (pairwise_diff_norms(models.projection, pairs, norm) <= params.eta) & ~dead
     edges = pairs[keep]
@@ -590,7 +597,7 @@ def with_degenerate_points(cloud, seed):
     balls hold one point or two identical ones, so their models are
     degenerate, and their pairs within eps touch a dead node."""
     rng = np.random.default_rng(seed)
-    tree = build_index(cloud).tree
+    tree = build_index(cloud.coords)
     extra = []
     for x in cloud.coords[rng.permutation(cloud.n)[:200]]:
         step = rng.normal(size=2)
@@ -634,11 +641,11 @@ class TestAlgorithm2:
         cloud = crossing_cloud(seed=5, n=400)
         params = ScaleParams(r=0.1, eps=0.3, eta=0.12)
         lab = algorithm2_cov_components(cloud, params)
-        index = build_index(cloud)
+        tree = build_index(cloud.coords)
         covs = ball_models(cloud, np.arange(cloud.n), params.r, d=1).covariance
         removed = set(lab.removed.tolist())
         for i in range(cloud.n):
-            nbrs = index.query(cloud.coords[i], params.r)
+            nbrs = balls(tree, cloud.coords[i][None], params.r)[1]
             nbrs = nbrs[nbrs != i]
             if nbrs.size == 0:
                 assert i not in removed

@@ -49,6 +49,18 @@ class TestMisclusteringRate:
         with pytest.raises(InvalidInput):
             misclustering_rate(np.array([1, 2]), np.array([1, 2, 1]), 2)
 
+    def test_predicted_labels_must_be_1_based(self):
+        # unchecked, a label below 1 indexes the table from its end: 0 reads
+        # as the last cluster (rate 1/3), [-1, 1, 2] scores 0, and
+        # [-1, -1, 1] raises IndexError
+        for pred in ([0, 0, 1], [-1, 1, 2], [-1, -1, 1]):
+            with pytest.raises(InvalidInput):
+                misclustering_rate(np.array(pred), np.array([1, 1, 2]), 2)
+
+    def test_empty_input(self):
+        with pytest.raises(InvalidInput):
+            misclustering_rate(np.array([], dtype=int), np.array([], dtype=int), 2)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -13,7 +13,7 @@ from mmcluster.local_pca import (
     estimate_projection,
     local_covariance,
 )
-from mmcluster.neighborhoods import PointCloud, balls, build_index, pair_balls
+from mmcluster.neighborhoods import PointCloud, balls, build_index, pair_balls, pairs_within
 
 
 def segment_cloud(n, direction, lo=-1.0, hi=1.0, offset=None):
@@ -28,20 +28,26 @@ def segment_cloud(n, direction, lo=-1.0, hi=1.0, offset=None):
 
 
 class TestLocalCovariance:
+    def test_non_finite_x_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))
+        for x in ([math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(InvalidInput):
+                local_covariance(cloud, np.array(x), 0.5)
+
     def test_single_neighbor_zero(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [5.0, 5.0]]))
-        c = local_covariance(cloud, build_index(cloud), np.array([0.0, 0.0]), 0.1)
+        c = local_covariance(cloud, np.array([0.0, 0.0]), 0.1)
         np.testing.assert_array_equal(c, np.zeros((2, 2)))
 
     def test_two_point_line(self):
         cloud = PointCloud(np.array([[0.0], [1.0]]))
-        c = local_covariance(cloud, build_index(cloud), np.array([0.5]), 1.0)
+        c = local_covariance(cloud, np.array([0.5]), 1.0)
         assert c[0, 0] == pytest.approx(0.25)
 
     def test_empty_neighborhood(self):
         cloud = PointCloud(np.array([[0.0, 0.0]]))
         with pytest.raises(EmptyNeighborhood):
-            local_covariance(cloud, build_index(cloud), np.array([10.0, 10.0]), 0.5)
+            local_covariance(cloud, np.array([10.0, 10.0]), 0.5)
 
     def test_segment_interior_closed_form(self):
         # uniform sampling on a segment: covariance (r^2/3) vv^T within 2%
@@ -50,7 +56,7 @@ class TestLocalCovariance:
         t = rng.uniform(-1, 1, size=100_000)
         cloud = PointCloud(t[:, None] * v[None, :])
         r = 0.3
-        c = local_covariance(cloud, build_index(cloud), np.zeros(2), r)
+        c = local_covariance(cloud, np.zeros(2), r)
         target = (r**2 / 3.0) * np.outer(v, v)
         assert linalg.spectral_norm(c - target) <= 0.02 * (r**2 / 3.0)
 
@@ -59,7 +65,7 @@ class TestLocalCovariance:
         n = 100_000
         cloud = segment_cloud(n, [1.0, 0.0])
         r = 0.3
-        c = local_covariance(cloud, build_index(cloud), np.array([1.0, 0.0]), r)
+        c = local_covariance(cloud, np.array([1.0, 0.0]), r)
         target = (r**2 / 12.0) * np.diag([1.0, 0.0])
         assert linalg.spectral_norm(c - target) <= 0.02 * (r**2 / 12.0)
 
@@ -155,11 +161,11 @@ class TestEstimateDimThresholded:
         seg1 = np.column_stack([t, np.zeros(n)])
         seg2 = np.column_stack([np.zeros(n), t])
         cloud = PointCloud(np.vstack([seg1, seg2]))
-        c = local_covariance(cloud, build_index(cloud), np.zeros(2), 0.2)
+        c = local_covariance(cloud, np.zeros(2), 0.2)
         est, _ = estimate_dim_thresholded(c, 0.04)
         assert est == 2
         # while a point far from the crossing stays 1-dimensional
-        c_far = local_covariance(cloud, build_index(cloud), np.array([0.6, 0.0]), 0.2)
+        c_far = local_covariance(cloud, np.array([0.6, 0.0]), 0.2)
         est_far, _ = estimate_dim_thresholded(c_far, 0.04)
         assert est_far == 1
 
@@ -176,12 +182,25 @@ class TestBatchLocalModels:
         # reduceat would turn an empty segment into a wrong covariance
         cloud = segment_cloud(50, [1.0, 0.0])
         y = cloud.coords[:3]
-        counts, members = balls(build_index(cloud).tree, y, 0.2)
+        counts, members = balls(build_index(cloud.coords), y, 0.2)
         for bad in ((y[:2], counts, members),
                     (y, np.array([counts[0], 0, counts[1] + counts[2]]), members),
                     (y[:0], counts[:0], members[:0])):
             with pytest.raises(InvalidInput):
                 batch_local_models(cloud, *bad, d=1)
+
+    def test_members_must_be_counts_sum_indices_into_the_cloud(self):
+        # unchecked, members past counts.sum() are ignored (the first case
+        # gives a zero covariance), and -1 reads the last point: the ball
+        # {0, -1} gives 6.25, the covariance of points 0 and 3
+        cloud = PointCloud(np.array([[0.0], [1.0], [2.0], [5.0]]))
+        y = cloud.coords[:1]
+        for counts, members in (([1], [0, 1, 2]), ([2], [0, -1]), ([2], [0, 4]),
+                                ([3], [0, 1])):
+            with pytest.raises(InvalidInput):
+                batch_local_models(cloud, y, np.array(counts), np.array(members), d=1)
+        ok = batch_local_models(cloud, y, np.array([2]), np.array([0, 3]), d=1)
+        assert ok.covariance[0, 0, 0] == 6.25
 
     def test_degenerate_single_point(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [10.0, 10.0]]))
@@ -226,12 +245,11 @@ class TestBatchLocalModels:
     def test_batch_equals_per_center(self):
         rng = np.random.default_rng(4)
         cloud = PointCloud(rng.normal(size=(200, 2)))
-        index = build_index(cloud)
         centers = np.array([3, 77, 140])
         models = ball_models(cloud, centers, 0.5, d=1)
         np.testing.assert_array_equal(models.centers, cloud.coords[centers])
         for k, c in enumerate(centers):
-            cov = local_covariance(cloud, index, cloud.coords[c], 0.5)
+            cov = local_covariance(cloud, cloud.coords[c], 0.5)
             np.testing.assert_array_equal(models.covariance[k], cov)
             np.testing.assert_array_equal(models.projection[k], estimate_projection(cov, 1))
 
@@ -248,10 +266,9 @@ class TestBatchLocalModels:
         else:
             coords, r = np.repeat(rng.uniform(size=(40, 3)), 2, axis=0), 0.3
         cloud = PointCloud(coords)
-        index = build_index(cloud)
         want = ball_models(cloud, np.arange(cloud.n), r, **mode)
         got = batch_local_models(cloud, cloud.coords,
-                                 *pair_balls(cloud.n, index.pairs_within(r)), **mode)
+                                 *pair_balls(cloud.n, pairs_within(cloud.coords, r)), **mode)
         for field in ("centers", "neighbor_count", "covariance", "projection",
                       "est_dim", "degenerate"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -263,13 +280,13 @@ class TestBatchLocalModels:
         # a one-pass second moment would lose about 1e-10 at a shift of 1e3
         rng = np.random.default_rng(5)
         cloud = PointCloud(rng.normal(size=(400, 3)) + shift)
-        index = build_index(cloud)
+        tree = build_index(cloud.coords)
         centers = np.arange(0, 400, 7)
         r, eta = 0.6, 0.1
         models = ball_models(cloud, centers, r, eta=eta)
         assert models.degenerate.sum() < len(models) // 2
         for k, c in enumerate(centers):
-            nbrs = index.query(cloud.coords[c], r)
+            nbrs = balls(tree, cloud.coords[c][None], r)[1]
             assert models.neighbor_count[k] == nbrs.size
             want = empirical_covariance(cloud.coords[nbrs])
             if nbrs.size < 2:

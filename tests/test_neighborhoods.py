@@ -1,12 +1,15 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import sparse, spatial
 from scipy.sparse import csgraph
 
+import mmcluster
 from mmcluster import neighborhoods
 from mmcluster.errors import InvalidInput, NoSurvivors
 from mmcluster.neighborhoods import (
@@ -17,6 +20,7 @@ from mmcluster.neighborhoods import (
     connected_components,
     nearest_site,
     pair_balls,
+    pairs_within,
     renumber_first_occurrence,
     subsample_centers,
 )
@@ -27,26 +31,38 @@ def brute_force_ball(coords, x, r):
     return set(np.flatnonzero(d <= r))
 
 
+def ball(coords, x, r):
+    """Members of the closed r-ball of ``x`` from ``balls``, as a set."""
+    counts, members = balls(build_index(coords), np.asarray(x, float)[None], r)
+    assert counts.tolist() == [members.size]
+    return set(members.tolist())
+
+
 class TestRadiusQuery:
     def test_single_point(self):
-        cloud = PointCloud(np.array([[1.0, 2.0]]))
-        idx = build_index(cloud)
-        assert set(idx.query(np.array([1.0, 2.0]), 0.5)) == {0}
+        assert ball(np.array([[1.0, 2.0]]), [1.0, 2.0], 0.5) == {0}
 
     def test_boundary_inclusive(self):
-        cloud = PointCloud(np.array([[0.0], [1.0], [2.0]]))
-        idx = build_index(cloud)
-        assert set(idx.query(np.array([1.0]), 1.0)) == {0, 1, 2}
+        assert ball(np.array([[0.0], [1.0], [2.0]]), [1.0], 1.0) == {0, 1, 2}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         coords = rng.uniform(-1, 1, size=(500, 3))
-        cloud = PointCloud(coords)
-        idx = build_index(cloud)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=3)
             r = float(rng.uniform(0.05, 0.8))
-            assert set(idx.query(x, r)) == brute_force_ball(coords, x, r)
+            assert ball(coords, x, r) == brute_force_ball(coords, x, r)
+
+
+def test_only_neighborhoods_binds_ckdtree():
+    # build_index is the one constructor of a tree, so a wrapper of it
+    # (perfbench's span) sees every tree the package builds
+    modules = [info.name for info in pkgutil.iter_modules(mmcluster.__path__)
+               if info.name != "__main__"]
+    binders = [name for name in modules
+               if any(value is spatial.cKDTree or value is spatial
+                      for value in vars(importlib.import_module(f"mmcluster.{name}")).values())]
+    assert binders == ["neighborhoods"]
 
 
 def shuffled_lattice(rng, side, dim, spacing):
@@ -72,9 +88,8 @@ BALL_CLOUDS = {
 @pytest.mark.parametrize("name", sorted(BALL_CLOUDS))
 def test_pair_balls_equal_ball_queries(name):
     coords, r = BALL_CLOUDS[name](np.random.default_rng(3))
-    index = build_index(PointCloud(coords))
-    counts, members = pair_balls(len(coords), index.pairs_within(r))
-    want_counts, want_members = balls(index.tree, coords, r)
+    counts, members = pair_balls(len(coords), pairs_within(coords, r))
+    want_counts, want_members = balls(build_index(coords), coords, r)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(members, want_members)
     assert counts.dtype == want_counts.dtype and members.dtype == want_members.dtype
@@ -83,12 +98,12 @@ def test_pair_balls_equal_ball_queries(name):
 class TestSubsampleCenters:
     def test_two_close_points_one_center(self):
         cloud = PointCloud(np.array([[0.0], [0.5]]))
-        centers = subsample_centers(build_index(cloud), 1.0, np.random.default_rng(0))
+        centers = subsample_centers(build_index(cloud.coords), 1.0, np.random.default_rng(0))
         assert len(centers) == 1
 
     def test_two_far_points_two_centers(self):
         cloud = PointCloud(np.array([[0.0], [2.0]]))
-        centers = subsample_centers(build_index(cloud), 1.0, np.random.default_rng(0))
+        centers = subsample_centers(build_index(cloud.coords), 1.0, np.random.default_rng(0))
         assert len(centers) == 2
 
     def test_packing_and_cover(self):
@@ -96,7 +111,7 @@ class TestSubsampleCenters:
         coords = rng.uniform(0, 1, size=(1000, 2))
         cloud = PointCloud(coords)
         r = 0.1
-        centers = subsample_centers(build_index(cloud), r, rng)
+        centers = subsample_centers(build_index(cloud.coords), r, rng)
         y = coords[centers]
         d = np.linalg.norm(y[:, None] - y[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
@@ -110,13 +125,13 @@ class TestSubsampleCenters:
         cloud = PointCloud(np.arange(400.0)[:, None])
         for r in (-0.2, 0.0, math.nan, math.inf):
             with pytest.raises(InvalidInput):
-                subsample_centers(build_index(cloud), r, np.random.default_rng(0))
+                subsample_centers(build_index(cloud.coords), r, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         coords = np.random.default_rng(5).uniform(0, 1, size=(200, 2))
         cloud = PointCloud(coords)
-        a = subsample_centers(build_index(cloud), 0.2, np.random.default_rng(7))
-        b = subsample_centers(build_index(cloud), 0.2, np.random.default_rng(7))
+        a = subsample_centers(build_index(cloud.coords), 0.2, np.random.default_rng(7))
+        b = subsample_centers(build_index(cloud.coords), 0.2, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
 
@@ -277,6 +292,18 @@ class TestAssignToClosestSurvivor:
         for t, i in enumerate(removed):
             d = np.linalg.norm(coords[survivors] - coords[i], axis=1)
             assert got[t] == surv_labels[d.argmin()]
+
+    def test_bad_indices_and_labels_rejected(self):
+        # unchecked, an index past the cloud or a short label array raises
+        # IndexError, and -1 silently reads the last point
+        cloud = PointCloud(np.arange(4.0)[:, None])
+        for removed, survivors, labels in (([4], [1, 2], [1, 2]),
+                                           ([0], [1, 5], [1, 2]),
+                                           ([-1], [1, 2], [1, 2]),
+                                           ([0], [1, 2], [1])):
+            with pytest.raises(InvalidInput):
+                assign_to_closest_survivor(cloud, np.array(removed), np.array(survivors),
+                                           np.array(labels))
 
     def test_empty_survivors(self):
         cloud = PointCloud(np.zeros((2, 1)))
