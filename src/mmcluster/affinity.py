@@ -268,19 +268,37 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
 def auto_epsilon(centers: Array) -> float:
     """Spatial scale: the largest nearest-neighbor distance among centers.
 
-    The tree's second neighbor (the first is the center itself) bounds
-    the candidates, whose exact distances exclude the center itself.
+    One 3-NN tree query gives each center its nearest other center as its
+    second neighbor, and the exact distance to it counts.  Where the second
+    distance is 0 that neighbor may be the center itself, but a duplicate
+    then lies at exact distance 0, so both read 0.  The tree ranks by
+    distances of its own rounding, so a near-tie, a third distance within
+    a factor 1 + 1e-9 of the second, may hide a nearer center: there the
+    second distance widened by 1e-9 bounds the candidates, whose exact
+    distances, the center's own excluded, decide.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise TooFewCenters("need at least two centers to select eps")
+
+    def exact(owner: Array, members: Array) -> Array:
+        diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
+        return np.sqrt((diff ** 2).sum(axis=1))
+
     tree = build_index(centers)
-    counts, members = balls(tree, centers, tree.query(centers, k=2)[0][:, 1] * (1 + 1e-9))
-    owner = np.repeat(np.arange(centers.shape[0]), counts)
-    diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
-    d = np.sqrt((diff ** 2).sum(axis=1))
-    d[owner == members] = np.inf
-    return float(np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
+    dist, near = tree.query(centers, k=3)
+    tie = dist[:, 2] <= dist[:, 1] * (1 + 1e-9)
+    decided = np.flatnonzero(~tie)
+    eps = exact(decided, near[decided, 1]).max(initial=0.0)
+    tied = np.flatnonzero(tie)
+    if tied.size:
+        counts, members = balls(tree, np.take(centers, tied, axis=0),
+                                dist[tied, 1] * (1 + 1e-9))
+        owner = np.repeat(tied, counts)
+        d = exact(owner, members)
+        d[owner == members] = np.inf
+        eps = max(eps, np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
+    return float(eps)
 
 
 def lower_median(values: Array) -> float:

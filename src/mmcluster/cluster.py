@@ -112,7 +112,8 @@ class KMeansResult:
     inertia: float
 
 
-def _kmeans_once(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
+def _kmeans_pp_seeds(rows: Array, k: int, rng: np.random.Generator) -> Array:
+    """k initial centroids (k, D) by k-means++ seeding."""
     m = rows.shape[0]
     first = int(rng.integers(m))
     cents = [rows[first].copy()]
@@ -129,36 +130,55 @@ def _kmeans_once(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
         chosen.add(idx)
         cents.append(rows[idx].copy())
         d2 = np.minimum(d2, ((rows - rows[idx]) ** 2).sum(axis=1))
-    cents = np.stack(cents)
+    return np.stack(cents)
 
-    for _ in range(_KMEANS_MAX_ITER):
-        dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-        assign = dists.argmin(axis=1)
-        counts = np.bincount(assign, minlength=k)
-        if (counts == 0).any():
-            dist_own = dists[np.arange(m), assign]
-            for empty in np.flatnonzero(counts == 0):
-                far = int(dist_own.argmax())
-                assign[far] = empty
-                cents[empty] = rows[far]
-                dist_own[far] = -1.0
-        new_cents = np.stack([rows[assign == kk].mean(axis=0) for kk in range(k)])
-        motion = np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max()
-        cents = new_cents
-        if motion < _KMEANS_TOL:
-            break
 
-    dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    assign = dists.argmin(axis=1)
-    inertia = float(dists[np.arange(m), assign].sum())
-    return KMeansResult(centroids=cents, assignments=assign, inertia=inertia)
+def _sq_dists(rows: Array, cents: Array) -> Array:
+    """Squared distances (R, m, k) of the m ``rows`` to each of R sets of
+    k centroids ``cents`` (R, k, D), summed as NumPy sums
+    ``((x - c) ** 2).sum(axis=-1)``: one coordinate at a time below 8
+    coordinates.  From 8 on NumPy sums pairwise, in blocks of 8, so that
+    expression itself is evaluated."""
+    if rows.shape[1] >= 8:
+        return np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
+    dists = np.zeros((cents.shape[0], rows.shape[0], cents.shape[1]))
+    for a in range(rows.shape[1]):
+        dists += np.square(rows[:, a, None] - cents[:, None, :, a])
+    return dists
+
+
+def _centroids(cols: Array, groups: Array, counts: Array) -> Array:
+    """Means (R, k, D) of the rows in each cluster of each restart, where
+    ``cols`` (D, _KMEANS_RESTARTS m) holds the columns of the m rows,
+    repeated once per restart, ``groups`` (R, m) holds s k + j for row i in
+    cluster j of restart s, and ``counts`` (R, k) the cluster sizes.  They
+    equal what ``rows[assign == j].mean(axis=0)`` gives: ``np.bincount``
+    sums in row order, as NumPy sums the rows of a matrix, while NumPy sums
+    a single column pairwise, so D = 1 takes that sum group by group."""
+    groups = groups.ravel()
+    sums = np.empty((counts.size, len(cols)))
+    for a, col in enumerate(cols[:, :groups.size]):
+        if len(cols) == 1:
+            sums[:, a] = [col[groups == g].sum() for g in range(counts.size)]
+        else:
+            sums[:, a] = np.bincount(groups, weights=col, minlength=counts.size)
+    return sums.reshape(counts.shape + (len(cols),)) / counts[..., None]
 
 
 def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     """K-means with k-means++ seeding and empty-cluster repair.
 
-    Runs ``_KMEANS_RESTARTS`` independent seedings and keeps the lowest
-    inertia.  Deterministic for a given generator state.
+    Draws ``_KMEANS_RESTARTS`` seedings, one restart after another, and
+    then runs Lloyd's iterations on all restarts at once; Lloyd draws
+    nothing, so the generator ends where restarts run one by one leave it.
+    A restart leaves the batch once its centroids move less than
+    ``_KMEANS_TOL``, or after ``_KMEANS_MAX_ITER`` iterations.  A cluster
+    left empty takes the row farthest from its own centroid (empty
+    clusters in ascending order), in the restarts that have one.  Keeps
+    the lowest inertia, the first restart on ties.  Every step computes
+    what each restart would alone, bit for bit.  Deterministic for a given
+    generator state; the temporaries hold R m k floats for m rows and R
+    restarts (R m k D from D = 8 coordinates on).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -167,14 +187,42 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
         raise InvalidInput("rows contain non-finite values")
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    if rows.shape[0] < k:
-        raise TooFewRows(f"{rows.shape[0]} rows cannot form {k} clusters")
-    best: KMeansResult | None = None
-    for _ in range(_KMEANS_RESTARTS):
-        res = _kmeans_once(rows, k, rng)
-        if best is None or res.inertia < best.inertia:
-            best = res
-    return best
+    m = rows.shape[0]
+    if m < k:
+        raise TooFewRows(f"{m} rows cannot form {k} clusters")
+    cents = np.stack([_kmeans_pp_seeds(rows, k, rng) for _ in range(_KMEANS_RESTARTS)])
+    cols = np.tile(rows.T, _KMEANS_RESTARTS)
+    live = np.arange(_KMEANS_RESTARTS)
+    for _ in range(_KMEANS_MAX_ITER):
+        old = cents[live]
+        dists = _sq_dists(rows, old)
+        assign = dists.argmin(axis=2)
+        groups = assign + np.arange(0, live.size * k, k)[:, None]
+        counts = np.bincount(groups.ravel(), minlength=live.size * k).reshape(-1, k)
+        for s in np.flatnonzero((counts == 0).any(axis=1)):
+            dist_own = dists[s, np.arange(m), assign[s]]
+            for empty in np.flatnonzero(counts[s] == 0):
+                far = int(dist_own.argmax())
+                groups[s, far] = s * k + empty
+                old[s, empty] = rows[far]
+                dist_own[far] = -1.0
+            counts[s] = np.bincount(groups[s] - s * k, minlength=k)
+        new = _centroids(cols, groups, counts)
+        motion = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+        cents[live] = new
+        live = live[~(motion < _KMEANS_TOL)]
+        if not live.size:
+            break
+
+    dists = _sq_dists(rows, cents)
+    assign = dists.argmin(axis=2)
+    inertia = dists.min(axis=2).sum(axis=1)
+    best = 0
+    for s in range(1, _KMEANS_RESTARTS):
+        if inertia[s] < inertia[best]:
+            best = s
+    return KMeansResult(centroids=cents[best], assignments=assign[best],
+                        inertia=float(inertia[best]))
 
 
 def _njw(m: int, row: Array, col: Array, data: Array, k: int,

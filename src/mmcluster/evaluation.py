@@ -21,14 +21,30 @@ Array = np.ndarray
 RATE_THRESHOLDS = (0.05, 0.10, 0.15)
 
 
+def _integer_labels(labels, name: str) -> Array:
+    """``labels`` as an int array; InvalidInput unless each one is an
+    integer (NaN, inf and values past the int range cast to others)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iuf":
+        raise InvalidInput(f"{name} labels must be integers")
+    with np.errstate(invalid="ignore"):
+        as_int = labels.astype(int)
+    if not (as_int == labels).all():
+        raise InvalidInput(f"{name} labels must be integers")
+    return as_int
+
+
 def misclustering_rate(pred, truth: Array, k: int) -> float:
     """Fraction of points misassigned under the best injective matching of
     predicted cluster ids to true labels (optimal assignment on the
     contingency table).  Predicted clusters left unmatched count all of
-    their members as errors, which penalizes over-segmentation.
+    their members as errors, which penalizes over-segmentation.  The table
+    has one column per distinct predicted id, so its size is bounded by
+    k n, whatever the ids' values.
     """
-    pred_labels = pred.assignments if isinstance(pred, Labeling) else np.asarray(pred, int)
-    truth = np.asarray(truth, int)
+    pred_labels = _integer_labels(pred.assignments if isinstance(pred, Labeling) else pred,
+                                  "predicted")
+    truth = _integer_labels(truth, "true")
     if pred_labels.shape != truth.shape:
         raise InvalidInput("prediction and truth have different lengths")
     if truth.size == 0:
@@ -37,13 +53,12 @@ def misclustering_rate(pred, truth: Array, k: int) -> float:
         raise InvalidInput(f"truth labels must lie in [1..{k}]")
     if pred_labels.min() < 1:
         raise InvalidInput("predicted labels must be 1-based")
-    n = truth.size
-    k_found = int(pred_labels.max())
-    table = np.zeros((k, k_found), dtype=int)
-    np.add.at(table, (truth - 1, pred_labels - 1), 1)
+    ids, pred_ids = np.unique(pred_labels, return_inverse=True)
+    table = np.bincount((truth.ravel() - 1) * ids.size + pred_ids.ravel(),
+                        minlength=k * ids.size).reshape(k, ids.size)
     rows, cols = linear_sum_assignment(-table)
     correct = int(table[rows, cols].sum())
-    return 1.0 - correct / n
+    return 1.0 - correct / truth.size
 
 
 @dataclass

@@ -121,6 +121,8 @@ def local_covariance(cloud: PointCloud, x: Array, r: float) -> Array:
     """Sample covariance of the closed r-ball neighborhood of ``x``, over
     a tree of its own: an oracle, which no pipeline calls."""
     x = np.asarray(x, float)
+    if x.shape != (cloud.dim,):
+        raise InvalidInput(f"x must be one point of dimension {cloud.dim}")
     if not np.isfinite(x).all():
         raise InvalidInput("x must be finite")
     counts, members = balls(build_index(cloud.coords), x[None], r)

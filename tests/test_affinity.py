@@ -9,7 +9,7 @@ from mmcluster import affinity as aff
 from mmcluster import linalg
 from mmcluster.errors import DimensionMismatch, NoPairsInRange, TooFewCenters
 from mmcluster.local_pca import LocalModels
-from mmcluster.neighborhoods import PointCloud, pairs_within
+from mmcluster.neighborhoods import PointCloud, balls, build_index, pairs_within
 
 
 def model_record(centers, covs=None, projs=None, degenerate=()):
@@ -40,6 +40,19 @@ def off_diagonal(n):
 def line_proj(theta):
     v = np.array([math.cos(theta), math.sin(theta)])
     return np.outer(v, v)
+
+
+def reference_auto_epsilon(centers):
+    """auto_epsilon as it ran with one ball per center: the tree's second
+    distance widened by 1e-9 bounds each center's candidates, whose exact
+    distances, the center's own excluded, give its nearest neighbor."""
+    tree = build_index(centers)
+    counts, members = balls(tree, centers, tree.query(centers, k=2)[0][:, 1] * (1 + 1e-9))
+    owner = np.repeat(np.arange(centers.shape[0]), counts)
+    diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
+    d = np.sqrt((diff ** 2).sum(axis=1))
+    d[owner == members] = np.inf
+    return float(np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
 
 
 class TestCovIndicator:
@@ -575,6 +588,46 @@ class TestAutoScales:
                 nearest = min(nearest, d)
             best = max(best, nearest)
         assert got == best
+
+    def test_eps_matches_ball_reference(self):
+        # random centers at scales 1e-6 to 1e5; scaled integer lattices, in
+        # which most centers have near-ties; duplicated centers, whose
+        # nearest other center is at distance 0 and may come first
+        rng = np.random.default_rng(31)
+        for case in range(90):
+            dim, m = int(rng.integers(1, 5)), int(rng.integers(2, 300))
+            if case % 3 == 0:
+                y = rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-6, 6)
+            elif case % 3 == 1:
+                scale = (0.1, 0.3, 1.0, 7.0)[case % 4]
+                y = np.vstack([scale * rng.integers(0, 6, size=(m, dim)),
+                               rng.uniform(0, 6 * scale, size=(case % 4, dim))])
+            else:
+                base = rng.normal(size=(max(1, m // 3), dim))
+                y = base[rng.integers(0, len(base), m)]
+                if case % 2:
+                    y = np.vstack([y, rng.normal(size=(3, dim))])
+            assert aff.auto_epsilon(y) == reference_auto_epsilon(y)
+
+    def test_eps_exact_when_the_tree_misranks_a_near_tie(self, monkeypatch):
+        # a tree that rounds otherwise may rank center 0's two neighbors,
+        # 5 and 5 + 1e-11 away, the wrong way round; the ball query around
+        # the near-tie still finds the nearer one, and eps is 5
+        y = np.array([[0.0], [5.0], [-5.00000000001], [-5.10000000001]])
+
+        class SwappingTree:
+            def __init__(self, points):
+                self.tree = build_index(points)
+
+            def query(self, x, k):
+                dist, near = self.tree.query(x, k=k)
+                return dist[:, [0, 2, 1]], near[:, [0, 2, 1]]
+
+            def query_ball_point(self, *args, **kwargs):
+                return self.tree.query_ball_point(*args, **kwargs)
+
+        monkeypatch.setattr(aff, "build_index", SwappingTree)
+        assert aff.auto_epsilon(y) == 5.0
 
     def test_eta_identical_projections(self):
         p = line_proj(0.1)

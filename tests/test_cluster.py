@@ -103,6 +103,66 @@ def criterion6_affinities():
     return cases
 
 
+def reference_kmeans_pp(rows, k, rng, reached):
+    """k-means++ as it ran restart by restart: each seeding followed by its
+    own Lloyd loop, the lowest inertia kept (ties: first restart).  Adds
+    to ``reached`` the names of the rare branches it takes."""
+    m = rows.shape[0]
+    best = None
+    for _ in range(cluster._KMEANS_RESTARTS):
+        first = int(rng.integers(m))
+        cents = [rows[first].copy()]
+        chosen = {first}
+        d2 = ((rows - cents[0]) ** 2).sum(axis=1)
+        for _ in range(1, k):
+            total = d2.sum()
+            if total > 0:
+                idx = int(rng.choice(m, p=d2 / total))
+            else:
+                reached.add("coincident seeding")
+                free = [i for i in range(m) if i not in chosen]
+                idx = free[int(rng.integers(len(free)))]
+            chosen.add(idx)
+            cents.append(rows[idx].copy())
+            d2 = np.minimum(d2, ((rows - rows[idx]) ** 2).sum(axis=1))
+        cents = np.stack(cents)
+        for _ in range(cluster._KMEANS_MAX_ITER):
+            dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+            assign = dists.argmin(axis=1)
+            counts = np.bincount(assign, minlength=k)
+            if (counts == 0).any():
+                reached.add("empty-cluster repair")
+                dist_own = dists[np.arange(m), assign]
+                for empty in np.flatnonzero(counts == 0):
+                    far = int(dist_own.argmax())
+                    assign[far] = empty
+                    cents[empty] = rows[far]
+                    dist_own[far] = -1.0
+            new_cents = np.stack([rows[assign == kk].mean(axis=0) for kk in range(k)])
+            motion = np.sqrt(((new_cents - cents) ** 2).sum(axis=1)).max()
+            cents = new_cents
+            if motion < cluster._KMEANS_TOL:
+                break
+        dists = ((rows[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        assign = dists.argmin(axis=1)
+        inertia = float(dists[np.arange(m), assign].sum())
+        if best is None or inertia < best[2]:
+            best = (cents, assign, inertia)
+    return best
+
+
+def assert_kmeans_matches_reference(rows, k, seed, reached):
+    """Equal centroids, assignments, inertia and generator state, bit for
+    bit; the reference adds the rare branches it takes to ``reached``."""
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cents, assign, inertia = reference_kmeans_pp(rows, k, rng_ref, reached)
+    res = kmeans_pp(rows, k, rng)
+    np.testing.assert_array_equal(res.centroids, cents)
+    np.testing.assert_array_equal(res.assignments, assign)
+    assert res.inertia == inertia
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestKMeans:
     def test_k_equals_m(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -186,6 +246,41 @@ class TestKMeans:
             a = kmeans_pp(rows, k, np.random.default_rng(case))
             b = kmeans_pp(rows * signs, k, np.random.default_rng(case))
             np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    def test_batched_restarts_match_reference(self):
+        # m from k to about 1,500, k from 1 to 5, D from 1 to 4; blobs and
+        # plain normal rows.  D = 1 sums its centroids pairwise, the rest
+        # in row order
+        rng = np.random.default_rng(23)
+        for case in range(60):
+            dim, k = 1 + case % 4, 1 + case % 5
+            m = [k, k + int(rng.integers(1, 8)), int(rng.integers(20, 200))][case % 3]
+            rows = rng.normal(size=(m, dim))
+            if case % 2:
+                rows += 4.0 * rng.normal(size=(k, dim))[rng.integers(0, k, m)]
+            assert_kmeans_matches_reference(rows, k, case, set())
+        # D = 9 sums each squared distance pairwise, as NumPy does from 8 on
+        for case, (m, k, dim) in enumerate([(1500, 2, 2), (1400, 3, 4), (1200, 5, 3), (900, 4, 1),
+                                            (80, 3, 9)]):
+            rows = rng.normal(size=(m, dim)) + 3.0 * rng.normal(size=(k, dim))[rng.integers(0, k, m)]
+            assert_kmeans_matches_reference(rows, k, 100 + case, set())
+
+    def test_batched_restarts_match_reference_on_repeated_rows(self):
+        # fewer distinct rows than clusters: the seeding draws among rows
+        # that all coincide with chosen centroids, and Lloyd repairs the
+        # clusters left empty.  Each distinct row appears at least twice, and
+        # no repair here empties another cluster (NumPy would warn of a mean
+        # of no rows)
+        rng = np.random.default_rng(29)
+        reached = set()
+        for case in range(40):
+            dim, k = 1 + case % 4, 2 + case % 4
+            distinct = rng.normal(size=(int(rng.integers(1, k + 2)), dim))
+            rows = np.repeat(distinct, rng.integers(2, 6, size=len(distinct)), axis=0)
+            rows = rows[rng.permutation(len(rows))]
+            if len(rows) >= k:
+                assert_kmeans_matches_reference(rows, k, case, reached)
+        assert reached == {"coincident seeding", "empty-cluster repair"}
 
 
 class TestNJW:

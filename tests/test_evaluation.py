@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ class TestMisclusteringRate:
         for pred in ([0, 0, 1], [-1, 1, 2], [-1, -1, 1]):
             with pytest.raises(InvalidInput):
                 misclustering_rate(np.array(pred), np.array([1, 1, 2]), 2)
+
+    def test_table_bounded_by_distinct_labels(self):
+        # sized by the largest label, the table of these three points held
+        # 2 x 10**6 counts, and the call's traced peak was 48 MB
+        tracemalloc.start()
+        try:
+            rate = misclustering_rate([1, 2, 10**6], [1, 2, 2], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate == pytest.approx(1 / 3)
+        assert peak < 100_000
+
+    def test_non_integer_labels_rejected(self):
+        # unchecked, [1.9, 2.2, 2.7] was truncated to [1, 2, 2] and scored 0
+        for pred in ([1.9, 2.2, 2.7], [1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+                     [1.0, 2.0, 1e300], ["1", "2", "2"]):
+            with pytest.raises(InvalidInput):
+                misclustering_rate(pred, [1, 2, 2], 2)
+        with pytest.raises(InvalidInput):
+            misclustering_rate([1, 2, 2], [1.5, 2.0, 2.0], 2)
+        assert misclustering_rate([1.0, 2.0, 2.0], np.array([1.0, 2.0, 2.0]), 2) == 0.0
 
     def test_empty_input(self):
         with pytest.raises(InvalidInput):

@@ -34,6 +34,13 @@ class TestLocalCovariance:
             with pytest.raises(InvalidInput):
                 local_covariance(cloud, np.array(x), 0.5)
 
+    def test_x_of_another_dimension_rejected(self):
+        # unchecked, SciPy's tree raises ValueError on x's length
+        cloud = PointCloud(np.random.default_rng(2).uniform(size=(50, 2)))
+        for x in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+            with pytest.raises(InvalidInput):
+                local_covariance(cloud, x, 0.5)
+
     def test_single_neighbor_zero(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [5.0, 5.0]]))
         c = local_covariance(cloud, np.array([0.0, 0.0]), 0.1)
