@@ -135,16 +135,10 @@ def _kmeans_pp_seeds(rows: Array, k: int, rng: np.random.Generator) -> Array:
 
 def _sq_dists(rows: Array, cents: Array) -> Array:
     """Squared distances (R, m, k) of the m ``rows`` to each of R sets of
-    k centroids ``cents`` (R, k, D), summed as NumPy sums
-    ``((x - c) ** 2).sum(axis=-1)``: one coordinate at a time below 8
-    coordinates.  From 8 on NumPy sums pairwise, in blocks of 8, so that
-    expression itself is evaluated."""
-    if rows.shape[1] >= 8:
-        return np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
-    dists = np.zeros((cents.shape[0], rows.shape[0], cents.shape[1]))
-    for a in range(rows.shape[1]):
-        dists += np.square(rows[:, a, None] - cents[:, None, :, a])
-    return dists
+    k centroids ``cents`` (R, k, D).  Each is summed over the last axis of
+    an (R, m, k, D) array, as a single restart sums it over its (m, k, D)
+    array, so both add in the same order."""
+    return np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
 
 
 def _centroids(cols: Array, groups: Array, counts: Array) -> Array:
@@ -154,15 +148,18 @@ def _centroids(cols: Array, groups: Array, counts: Array) -> Array:
     cluster j of restart s, and ``counts`` (R, k) the cluster sizes.  They
     equal what ``rows[assign == j].mean(axis=0)`` gives: ``np.bincount``
     sums in row order, as NumPy sums the rows of a matrix, while NumPy sums
-    a single column pairwise, so D = 1 takes that sum group by group."""
-    groups = groups.ravel()
-    sums = np.empty((counts.size, len(cols)))
-    for a, col in enumerate(cols[:, :groups.size]):
-        if len(cols) == 1:
-            sums[:, a] = [col[groups == g].sum() for g in range(counts.size)]
-        else:
-            sums[:, a] = np.bincount(groups, weights=col, minlength=counts.size)
-    return sums.reshape(counts.shape + (len(cols),)) / counts[..., None]
+    a single column pairwise, so D = 1 takes that sum group by group, over
+    its own restart's m rows.  Both orders were checked against the
+    reference on NumPy 2.4.6 only."""
+    k = counts.shape[1]
+    if len(cols) == 1:
+        col = cols[0, :groups.shape[1]]
+        sums = [[col[g == s * k + j].sum()] for s, g in enumerate(groups) for j in range(k)]
+    else:
+        sums = [np.bincount(groups.ravel(), weights=col, minlength=counts.size)
+                for col in cols[:, :groups.size]]
+        sums = np.transpose(sums)
+    return np.reshape(sums, counts.shape + (len(cols),)) / counts[..., None]
 
 
 def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
@@ -177,8 +174,8 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     clusters in ascending order), in the restarts that have one.  Keeps
     the lowest inertia, the first restart on ties.  Every step computes
     what each restart would alone, bit for bit.  Deterministic for a given
-    generator state; the temporaries hold R m k floats for m rows and R
-    restarts (R m k D from D = 8 coordinates on).
+    generator state; the temporaries hold R m k D floats for m rows in D
+    coordinates and R restarts.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
