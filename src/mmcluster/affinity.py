@@ -107,15 +107,21 @@ def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
     """Edges of the indicator affinities: the pairs (i < j) of nodes not
     flagged in ``dead`` whose points in ``coords`` lie within eps, and
     the mask of those whose gap in ``stack`` (n, D, D) stays within
-    ``threshold``, filled a _GAP_BLOCK of pairs at a time.  Dead nodes
-    never connect, so the pairs come from a KD-tree over the live points
-    only: no pair touches a dead node, and none costs a query or a gap.
+    ``threshold``.  Dead nodes never connect, so the pairs come from a
+    KD-tree over the live points only: no pair touches a dead node, and
+    none costs a query or a gap.  The tree's pair array is the one
+    returned: a _GAP_BLOCK of its pairs at a time is mapped in place from
+    live positions to nodes (``live`` ascends, so i < j holds), then
+    gapped, so no other temporary grows with the number of pairs.  The
+    caller owns the pairs and may overwrite them.
     """
     live = np.flatnonzero(~dead)
-    pairs = np.take(live, pairs_within(np.take(coords, live, axis=0), eps))
+    pairs = pairs_within(np.take(coords, live, axis=0), eps)
     keep = np.empty(len(pairs), dtype=bool)
     for start in range(0, len(pairs), _GAP_BLOCK):
         block = pairs[start:start + _GAP_BLOCK]
+        if live.size < dead.size:  # with no dead node, positions are nodes
+            np.take(live, block, out=block)
         keep[start:start + _GAP_BLOCK] = pairwise_diff_norms(stack, block, norm) <= threshold
     return pairs, keep
 

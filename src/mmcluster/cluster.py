@@ -170,8 +170,9 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     nothing, so the generator ends where restarts run one by one leave it.
     A restart leaves the batch once its centroids move less than
     ``_KMEANS_TOL``, or after ``_KMEANS_MAX_ITER`` iterations.  A cluster
-    left empty takes the row farthest from its own centroid (empty
-    clusters in ascending order), in the restarts that have one.  Keeps
+    left empty takes the row farthest from its own centroid among the rows
+    whose cluster keeps another (empty clusters in ascending order), in
+    the restarts that have one, so every centroid is a mean of rows.  Keeps
     the lowest inertia, the first restart on ties.  Every step computes
     what each restart would alone, bit for bit.  Deterministic for a given
     generator state; the temporaries hold R m k D floats for m rows in D
@@ -199,11 +200,14 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
         for s in np.flatnonzero((counts == 0).any(axis=1)):
             dist_own = dists[s, np.arange(m), assign[s]]
             for empty in np.flatnonzero(counts[s] == 0):
-                far = int(dist_own.argmax())
+                # only a row whose cluster keeps another may move, so the
+                # repair empties no cluster; m >= k leaves one to take from
+                cluster = groups[s] - s * k
+                far = int(np.where(counts[s, cluster] > 1, dist_own, -np.inf).argmax())
+                counts[s, cluster[far]] -= 1
+                counts[s, empty] = 1
                 groups[s, far] = s * k + empty
                 old[s, empty] = rows[far]
-                dist_own[far] = -1.0
-            counts[s] = np.bincount(groups[s] - s * k, minlength=k)
         new = _centroids(cols, groups, counts)
         motion = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         cents[live] = new
@@ -350,6 +354,19 @@ def _partition_centers(w: sparse.coo_array, y: Array, k: int,
     return out, info
 
 
+def _kept_front(pairs: Array, keep: Array) -> Array:
+    """The rows of ``pairs`` flagged in ``keep``, in order, moved to its
+    front a block at a time; returns that prefix, a view.  A block's kept
+    rows never reach past the block, so no unread row is overwritten."""
+    end = 0
+    for start in range(0, len(pairs), aff._GAP_BLOCK):
+        rows = np.compress(keep[start:start + aff._GAP_BLOCK],
+                           pairs[start:start + aff._GAP_BLOCK], axis=0)
+        pairs[end:end + len(rows)] = rows
+        end += len(rows)
+    return pairs[:end]
+
+
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                               norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local covariances.
@@ -370,6 +387,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     removed_mask = np.zeros(n, dtype=bool)
     gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
     removed_mask[np.compress(gaps > threshold, pairs_r, axis=0).ravel()] = True
+    del pairs_r, gaps
     survivors = np.flatnonzero(~removed_mask)
     removed = np.flatnonzero(removed_mask)
     if survivors.size == 0:
@@ -379,7 +397,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                                       cloud.coords, params.eps, threshold, norm)
     # removed points keep no edges; the survivors' components are
     # renumbered by smallest survivor
-    ids = connected_components(n, np.compress(keep, pairs, axis=0))
+    ids = connected_components(n, _kept_front(pairs, keep))
     ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
@@ -401,7 +419,7 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
                                 eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
                                       params.eps, params.eta, norm)
-    ids = connected_components(cloud.n, np.compress(keep, pairs, axis=0))
+    ids = connected_components(cloud.n, _kept_front(pairs, keep))
     k_found = int(ids.max())
     return Labeling(assignments=ids, K_found=k_found,
                     info=_scales_info(params, ids, k_found, keep))

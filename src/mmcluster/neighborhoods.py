@@ -22,6 +22,10 @@ from .errors import InvalidInput, NoSurvivors
 
 Array = np.ndarray
 
+# pairs per block of the components' passes, as affinity._GAP_BLOCK: no
+# temporary of a pass grows with the number of pairs
+_EDGE_BLOCK = 1 << 15
+
 
 @dataclass
 class PointCloud:
@@ -100,7 +104,7 @@ def connected_components(n_nodes: int, edges: Array) -> Array:
     """1-based component id per node of the undirected graph on
     [0..n_nodes) with the (m, 2) pairs ``edges``, in either orientation,
     numbered by smallest contained node.  Self-loops and repeated pairs
-    change nothing.
+    change nothing, and ``edges`` is only read.
 
     Each round hooks every root onto the smallest root it shares a pair
     with, then points every node at its root (Shiloach & Vishkin 1982).
@@ -108,20 +112,27 @@ def connected_components(n_nodes: int, edges: Array) -> Array:
     given pairs; each later round sees only the pairs that still join two
     trees, as pairs of their roots.  Hooks only go to smaller nodes, so
     the trees stay acyclic and each root is the smallest node of its tree.
+    Both passes over the pairs go an _EDGE_BLOCK at a time: min-hooks
+    commute, so hooking block by block ends where one pass over all pairs
+    does, and no temporary but the pairs kept for the next round grows
+    with the number of pairs.
     """
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise InvalidInput("edge endpoint out of range")
     root = np.arange(n_nodes)
-    i, j = edges.T
-    while i.size:
-        np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
+    while len(edges):
+        for start in range(0, len(edges), _EDGE_BLOCK):
+            i, j = edges[start:start + _EDGE_BLOCK].T
+            np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
-        i, j = root[i], root[j]
-        cross = i != j
-        i, j = i[cross], j[cross]
+        crossing = []
+        for start in range(0, len(edges), _EDGE_BLOCK):
+            ends = np.take(root, edges[start:start + _EDGE_BLOCK])
+            crossing.append(np.compress(ends[:, 0] != ends[:, 1], ends, axis=0))
+        edges = np.concatenate(crossing)
     return renumber_first_occurrence(root)[0]
 
 
@@ -147,12 +158,21 @@ def balls(tree: cKDTree, x: Array, r) -> tuple[Array, Array]:
 def pair_balls(n: int, pairs: Array) -> tuple[Array, Array]:
     """The closed r-balls of all n points, flat as in ``balls``, from
     ``pairs``, the (m, 2) pairs (i < j) within r: each ball holds its
-    point and the other end of each of its pairs, in ascending order."""
+    point and the other end of each of its pairs, in ascending order.
+    The members come from one array of n + 2m sort codes, built and
+    sorted in place; ``pairs`` is only read."""
     i, j = pairs.T
-    owner = np.concatenate([np.arange(n), i, j])
-    member = np.concatenate([np.arange(n), j, i])
-    # sorting owner * n + member orders each ball's members within it
-    return np.bincount(owner, minlength=n), np.sort(owner * n + member) % n
+    m = len(pairs)
+    # owner * n + member orders each ball's members within it
+    codes = np.concatenate([np.arange(n), i, j])
+    counts = np.bincount(codes, minlength=n)
+    codes *= n
+    codes[:n] += np.arange(n)
+    codes[n:n + m] += j
+    codes[n + m:] += i
+    codes.sort()
+    codes %= n
+    return counts, codes
 
 
 def nearest_site(points: Array, sites: Array) -> Array:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import ball_models
 from mmcluster import affinity as aff
-from mmcluster import cluster
+from mmcluster import cluster, neighborhoods
 from mmcluster.affinity import (
     ScaleParams,
     auto_epsilon,
@@ -134,7 +135,12 @@ def reference_kmeans_pp(rows, k, rng, reached):
                 reached.add("empty-cluster repair")
                 dist_own = dists[np.arange(m), assign]
                 for empty in np.flatnonzero(counts == 0):
-                    far = int(dist_own.argmax())
+                    # only a row whose cluster keeps another row moves
+                    if counts[assign[dist_own.argmax()]] == 1:
+                        reached.add("repair skips a lone row")
+                    far = int(np.where(counts[assign] > 1, dist_own, -np.inf).argmax())
+                    counts[assign[far]] -= 1
+                    counts[empty] = 1
                     assign[far] = empty
                     cents[empty] = rows[far]
                     dist_own[far] = -1.0
@@ -226,6 +232,21 @@ class TestKMeans:
         res = kmeans_pp(rows, 3, np.random.default_rng(5))
         assert len(set(res.assignments.tolist())) == 3
         assert np.isfinite(res.inertia)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repair_empties_no_other_cluster(self, seed):
+        # three distinct rows for four clusters: a repair that moved the
+        # lone row of a cluster left a mean of no rows, NumPy warned and
+        # the centroids turned NaN.  Each of the k Lloyd clusters is
+        # nonempty, so the centroids are the four rows; the final argmin
+        # puts both copies of (1, 0) in the first of their equal centroids
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        res = kmeans_pp(rows, 4, np.random.default_rng(seed))
+        assert np.isfinite(res.centroids).all() and res.inertia == 0.0
+        assert sorted(map(tuple, res.centroids.tolist())) == sorted(map(tuple, rows.tolist()))
+        reached = set()
+        assert_kmeans_matches_reference(rows, 4, seed, reached)
+        assert "repair skips a lone row" in reached
 
     def test_final_assignment_is_argmin(self):
         rng = np.random.default_rng(6)
@@ -815,6 +836,81 @@ class TestAlgorithm3:
         cloud = single_segment_cloud(100)
         with pytest.raises(InvalidInput):
             algorithm3_proj_components(cloud, ScaleParams(r=0.1, eps=0.2, eta=1.5))
+
+
+def full_copy_components(cloud, params, norm, alg):
+    """alg2 (``alg=2``) or alg3 as they ran with full copies of the
+    eps-pairs: the tree's pairs mapped through ``live`` by ``np.take`` into
+    a second array, the kept edges gathered by ``np.compress`` into a
+    third, and SciPy's components.  Returns the labels, the removed points
+    (alg2), the cluster count, the edges kept and the pairs gapped."""
+    n = cloud.n
+    pairs_r = pairs_within(cloud.coords, params.r)
+    mode = {"d": 1} if alg == 2 else {"eta": params.eta}
+    models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), **mode)
+    band = np.zeros(n, dtype=bool)
+    if alg == 2:
+        stack, threshold = models.covariance, params.eta * params.r**2
+        band[pairs_r[pairwise_diff_norms(stack, pairs_r, norm) > threshold].ravel()] = True
+    else:
+        stack, threshold = models.projection, params.eta
+    live = np.flatnonzero(~(models.degenerate | band))
+    pairs = np.take(live, pairs_within(cloud.coords[live], params.eps))
+    edges = np.compress(pairwise_diff_norms(stack, pairs, norm) <= threshold, pairs, axis=0)
+    graph = sparse.coo_array((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    ids = connected_components(graph, directed=False)[1]
+    survivors, removed = np.flatnonzero(~band), np.flatnonzero(band)
+    labels = np.zeros(n, dtype=int)
+    labels[survivors], k = renumber_first_occurrence(ids[survivors])
+    if removed.size:
+        labels[removed] = assign_to_closest_survivor(cloud, removed, survivors, labels[survivors])
+    return labels, removed, k, len(edges), len(pairs)
+
+
+class TestComponentsInPlace:
+    """alg2 and alg3 map, compact and walk their one eps-pair array in
+    place, a block at a time."""
+
+    @pytest.mark.parametrize("block", [None, 97])
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    @pytest.mark.parametrize("alg", [2, 3])
+    def test_matches_full_copy_path(self, alg, norm, block, monkeypatch):
+        # tau > 0: alg2 removes a band and alg3 keeps part of the pairs;
+        # several blocks of eps-pairs, or with 97-pair blocks thousands
+        cloud = crossing_cloud(seed=2, n=2000, tau=0.01)
+        labels, removed, k, n_edges, n_pairs = full_copy_components(cloud, NOISY_PARAMS,
+                                                                    norm, alg)
+        assert n_pairs > 2 * aff._GAP_BLOCK and 0 < n_edges < n_pairs
+        if block:
+            monkeypatch.setattr(aff, "_GAP_BLOCK", block)
+            monkeypatch.setattr(neighborhoods, "_EDGE_BLOCK", block)
+        run = algorithm2_cov_components if alg == 2 else algorithm3_proj_components
+        lab = run(cloud, NOISY_PARAMS, norm=norm)
+        np.testing.assert_array_equal(lab.assignments, labels)
+        assert (lab.K_found, lab.info["n_edges"]) == (k, n_edges)
+        if alg == 2:
+            assert removed.size > 0
+            np.testing.assert_array_equal(lab.removed, removed)
+        else:
+            assert lab.removed is None
+
+    @pytest.mark.parametrize("alg", [2, 3])
+    def test_traced_peak_of_one_call(self, alg):
+        # 2 x 2000 points, r = 0.05, eps = 0.2: about 880k eps-pairs of
+        # 14 MB, which cKDTree allocates outside the traced allocator.  A
+        # mapped and a kept copy of them read 38-43 MB here; what is left,
+        # about 13.6 MB, is local PCA's temporaries and the balls they read
+        cloud = crossing_cloud(seed=0, n=4000)
+        params = ScaleParams(r=0.05, eps=0.2, eta=0.22)
+        run = algorithm2_cov_components if alg == 2 else algorithm3_proj_components
+        run(crossing_cloud(seed=1, n=200), params)
+        tracemalloc.start()
+        try:
+            run(cloud, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestAlgorithm4:

@@ -202,6 +202,36 @@ class TestConnectedComponents:
                 np.testing.assert_array_equal(connected_components(size, mapped),
                                               bfs_components(size, mapped))
 
+    def test_pairs_over_many_blocks_match_bfs(self):
+        # both passes over the pairs go a block at a time; a shuffled path
+        # of 100k nodes spans four blocks and needs many rounds, and a
+        # random graph of 50k nodes repeats pairs in both orientations
+        rng = np.random.default_rng(11)
+        n = 100_000
+        perm = rng.permutation(n)
+        path = np.column_stack([perm[:-1], perm[1:]])[rng.permutation(n - 1)]
+        n_rand = 50_000
+        pairs = rng.integers(0, n_rand, size=(60_000, 2))
+        again = pairs[rng.integers(0, len(pairs), size=20_000)]
+        repeated = np.vstack([pairs, again, again[::2, ::-1], pairs[:10_000, ::-1]])
+        repeated = repeated[rng.permutation(len(repeated))]
+        for size, edges in ((n, path), (n_rand, repeated)):
+            assert len(edges) > 2 * neighborhoods._EDGE_BLOCK
+            before = edges.copy()
+            np.testing.assert_array_equal(connected_components(size, edges),
+                                          bfs_components(size, edges))
+            np.testing.assert_array_equal(edges, before)
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        # blocks of 97 pairs, a short last one among them, in every round
+        rng = np.random.default_rng(12)
+        n = 3000
+        edges = rng.integers(0, n, size=(2500, 2))
+        want = connected_components(n, edges)
+        monkeypatch.setattr(neighborhoods, "_EDGE_BLOCK", 97)
+        np.testing.assert_array_equal(connected_components(n, edges), want)
+        np.testing.assert_array_equal(want, bfs_components(n, edges))
+
     @given(st.integers(0, 1000))
     def test_relabeling_invariance(self, seed):
         rng = np.random.default_rng(seed)
