@@ -1,13 +1,12 @@
 """Pairwise affinities between local models, and automatic scale selection.
 
-Matrix discrepancies default to the spectral norm; the indicator kinds
-and ``indicator_pairs`` also take ``norm="frobenius"``, which alg2 and
-alg3 pass on, while the center-graph pipelines compare in the spectral
-norm only.  Every scale must be finite and positive.  Every affinity is a
-symmetric ``scipy.sparse`` COO matrix that stores exactly its off-diagonal
-entries of weight at least exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF = 6.1:
-no diagonal (NJW's A_ii = 0) and nothing below that floor, so one rule
-holds for every kind.
+The center-graph affinities compare matrices in the spectral norm;
+``pairwise_diff_norms`` and ``indicator_pairs``, alg2's and alg3's edge
+test, also take ``norm="frobenius"``.  Every scale must be finite and
+positive.  Every affinity is a symmetric ``scipy.sparse`` COO matrix
+that stores exactly its off-diagonal entries of weight at least
+exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF = 6.1: no diagonal (NJW's
+A_ii = 0) and nothing below that floor, so one rule holds for every kind.
 
 * the indicator kinds (``cov``, ``proj``) store their connected pairs
   within eps;
@@ -28,7 +27,8 @@ from scipy import sparse
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModels
-from .neighborhoods import balls, build_index, pairs_within
+from .neighborhoods import (WIDEN, build_index, nearest_other, pair_blocks, pairs_within,
+                            sq_dists)
 
 Array = np.ndarray
 
@@ -36,9 +36,6 @@ Array = np.ndarray
 # no affinity stores a weight below exp(-_CUTOFF^2)
 _CUTOFF = 6.1
 _FLOOR = math.exp(-_CUTOFF**2)
-# pairs per block of the gap kernel: its buffers stay in cache, and no
-# temporary grows with the number of pairs
-_GAP_BLOCK = 1 << 15
 
 
 def check_scales(**scales: float | None) -> None:
@@ -67,16 +64,16 @@ class ScaleParams:
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
     """Norms of stack[i] - stack[j] over the (m, 2) ``pairs`` (i, j) of a
-    stack (n, D, D), a block of _GAP_BLOCK pairs at a time."""
+    stack (n, D, D), a ``pair_blocks`` block at a time."""
     if norm not in ("spectral", "frobenius"):
         raise InvalidInput(f"unknown norm mode {norm!r}")
     flat = stack.reshape(stack.shape[0], -1)
     out = np.empty(len(pairs))
-    for start in range(0, len(pairs), _GAP_BLOCK):
-        block = pairs[start:start + _GAP_BLOCK]
+    for rows in pair_blocks(len(pairs)):
+        block = pairs[rows]
         diffs = np.take(flat, block[:, 0], axis=0)
         diffs -= np.take(flat, block[:, 1], axis=0)
-        gaps = out[start:start + _GAP_BLOCK]
+        gaps = out[rows]
         if norm == "spectral":
             gaps[:] = linalg.spectral_norms(diffs.reshape((-1,) + stack.shape[1:]))
         else:
@@ -110,7 +107,7 @@ def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
     ``threshold``.  Dead nodes never connect, so the pairs come from a
     KD-tree over the live points only: no pair touches a dead node, and
     none costs a query or a gap.  The tree's pair array is the one
-    returned: a _GAP_BLOCK of its pairs at a time is mapped in place from
+    returned: a ``pair_blocks`` block at a time is mapped in place from
     live positions to nodes (``live`` ascends, so i < j holds), then
     gapped, so no other temporary grows with the number of pairs.  The
     caller owns the pairs and may overwrite them.
@@ -118,12 +115,24 @@ def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
     live = np.flatnonzero(~dead)
     pairs = pairs_within(np.take(coords, live, axis=0), eps)
     keep = np.empty(len(pairs), dtype=bool)
-    for start in range(0, len(pairs), _GAP_BLOCK):
-        block = pairs[start:start + _GAP_BLOCK]
+    for rows in pair_blocks(len(pairs)):
+        block = pairs[rows]
         if live.size < dead.size:  # with no dead node, positions are nodes
             np.take(live, block, out=block)
-        keep[start:start + _GAP_BLOCK] = pairwise_diff_norms(stack, block, norm) <= threshold
+        keep[rows] = pairwise_diff_norms(stack, block, norm) <= threshold
     return pairs, keep
+
+
+def kept_front(pairs: Array, keep: Array) -> Array:
+    """The rows of ``pairs`` flagged in ``keep``, in order, moved to its
+    front a block at a time; returns that prefix, a view.  A block's kept
+    rows never reach past the block, so no unread row is overwritten."""
+    end = 0
+    for rows in pair_blocks(len(pairs)):
+        kept = np.compress(keep[rows], pairs[rows], axis=0)
+        pairs[end:end + len(kept)] = kept
+        end += len(kept)
+    return pairs[:end]
 
 
 def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
@@ -137,27 +146,27 @@ def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
                             shape=(n, n))
 
 
-def _indicator(models: LocalModels, stack: Array, eps: float, threshold: float,
-               norm: str) -> sparse.coo_array:
+def _indicator(models: LocalModels, stack: Array, eps: float,
+               threshold: float) -> sparse.coo_array:
     """The indicator affinity of ``indicator_pairs`` over the centers."""
-    pairs, keep = indicator_pairs(stack, models.degenerate, models.centers, eps,
-                                  threshold, norm)
+    pairs, keep = indicator_pairs(stack, models.degenerate, models.centers, eps, threshold,
+                                  "spectral")
     return _symmetric(len(models), pairs, keep.astype(float))
 
 
-def cov_indicator_affinity(models: LocalModels, eps: float, eta: float, r: float,
-                           norm: str = "spectral") -> sparse.coo_array:
+def cov_indicator_affinity(models: LocalModels, eps: float, eta: float,
+                           r: float) -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||C_i - C_j|| <= eta * r^2.
 
     Sparse: only the connected pairs are stored.  Degenerate models are
     left unconnected.
     """
     check_scales(eps=eps, eta=eta, r=r)
-    return _indicator(models, models.covariance, eps, eta * r * r, norm)
+    return _indicator(models, models.covariance, eps, eta * r * r)
 
 
-def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
-                            norm: str = "spectral") -> sparse.coo_array:
+def proj_indicator_affinity(models: LocalModels, eps: float,
+                            eta: float) -> sparse.coo_array:
     """Binary affinity: 1 iff dist <= eps and ||Q_i - Q_j|| <= eta.
 
     Sparse: only the connected pairs are stored.  Models with differing
@@ -165,7 +174,7 @@ def proj_indicator_affinity(models: LocalModels, eps: float, eta: float,
     whenever eta < 1.
     """
     check_scales(eps=eps, eta=eta)
-    return _indicator(models, models.projection, eps, eta, norm)
+    return _indicator(models, models.projection, eps, eta)
 
 
 def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
@@ -173,8 +182,7 @@ def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
     exp(-||y_i - y_j||^2 / eps^2); every pair left out is below
     exp(-_CUTOFF^2)."""
     pairs = pairs_within(y, _CUTOFF * eps)
-    diff = np.take(y, pairs[:, 0], axis=0) - np.take(y, pairs[:, 1], axis=0)
-    return pairs, np.exp(-(diff * diff).sum(axis=1) / eps**2)
+    return pairs, np.exp(-sq_dists(y, pairs[:, 0], y, pairs[:, 1]) / eps**2)
 
 
 def gaussian_product_affinity(models: LocalModels, eps: float,
@@ -256,10 +264,9 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
     if (eps_i == 0).any():
         raise InvalidInput("gong affinity requires distinct points up to the ell-th neighbor")
     # s <= _CUTOFF^2 implies d <= _CUTOFF * max eps_i
-    pairs = pairs_within(y, _CUTOFF * eps_i.max() * (1 + 1e-9))
+    pairs = pairs_within(y, _CUTOFF * eps_i.max() * WIDEN)
     i, j = pairs.T
-    diff = y[i] - y[j]
-    s = (diff * diff).sum(axis=1) / (eps_i[i] * eps_i[j])
+    s = sq_dists(y, i, y, j) / (eps_i[i] * eps_i[j])
     near = s <= _CUTOFF**2
     pairs, s = pairs[near], s[near]
     qd = np.clip(_projection_gaps(models, pairs), 0.0, 1.0)
@@ -272,39 +279,13 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
 
 
 def auto_epsilon(centers: Array) -> float:
-    """Spatial scale: the largest nearest-neighbor distance among centers.
-
-    One 3-NN tree query gives each center its nearest other center as its
-    second neighbor, and the exact distance to it counts.  Where the second
-    distance is 0 that neighbor may be the center itself, but a duplicate
-    then lies at exact distance 0, so both read 0.  The tree ranks by
-    distances of its own rounding, so a near-tie, a third distance within
-    a factor 1 + 1e-9 of the second, may hide a nearer center: there the
-    second distance widened by 1e-9 bounds the candidates, whose exact
-    distances, the center's own excluded, decide.
-    """
+    """Spatial scale: the largest nearest-neighbor distance among centers,
+    the exact distance from each center to its ``nearest_other``."""
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[0] < 2:
         raise TooFewCenters("need at least two centers to select eps")
-
-    def exact(owner: Array, members: Array) -> Array:
-        diff = np.take(centers, owner, axis=0) - np.take(centers, members, axis=0)
-        return np.sqrt((diff ** 2).sum(axis=1))
-
-    tree = build_index(centers)
-    dist, near = tree.query(centers, k=3)
-    tie = dist[:, 2] <= dist[:, 1] * (1 + 1e-9)
-    decided = np.flatnonzero(~tie)
-    eps = exact(decided, near[decided, 1]).max(initial=0.0)
-    tied = np.flatnonzero(tie)
-    if tied.size:
-        counts, members = balls(tree, np.take(centers, tied, axis=0),
-                                dist[tied, 1] * (1 + 1e-9))
-        owner = np.repeat(tied, counts)
-        d = exact(owner, members)
-        d[owner == members] = np.inf
-        eps = max(eps, np.minimum.reduceat(d, np.cumsum(counts) - counts).max())
-    return float(eps)
+    nearest = nearest_other(centers)
+    return float(np.sqrt(sq_dists(centers, np.arange(len(centers)), centers, nearest).max()))
 
 
 def lower_median(values: Array) -> float:
@@ -319,12 +300,11 @@ def auto_eta(models: LocalModels, eps: float) -> float:
     """Projection scale: median of ||Q_i - Q_j|| over center pairs closer
     than eps (strict inequality; spectral norm)."""
     y = models.centers
-    pairs = pairs_within(y, eps * (1 + 1e-9))
+    pairs = pairs_within(y, eps * WIDEN)
     # compare distances, not squared distances: eps is itself a pairwise
     # distance (eq. for the spatial scale), and the strict < must see the
     # boundary pair exactly
-    diff = np.take(y, pairs[:, 0], axis=0) - np.take(y, pairs[:, 1], axis=0)
-    close = np.sqrt((diff ** 2).sum(axis=1)) < eps
+    close = np.sqrt(sq_dists(y, pairs[:, 0], y, pairs[:, 1])) < eps
     if not close.any():
         raise NoPairsInRange("no center pair strictly within eps")
     vals = pairwise_diff_norms(models.projection, np.compress(close, pairs, axis=0),

@@ -354,19 +354,6 @@ def _partition_centers(w: sparse.coo_array, y: Array, k: int,
     return out, info
 
 
-def _kept_front(pairs: Array, keep: Array) -> Array:
-    """The rows of ``pairs`` flagged in ``keep``, in order, moved to its
-    front a block at a time; returns that prefix, a view.  A block's kept
-    rows never reach past the block, so no unread row is overwritten."""
-    end = 0
-    for start in range(0, len(pairs), aff._GAP_BLOCK):
-        rows = np.compress(keep[start:start + aff._GAP_BLOCK],
-                           pairs[start:start + aff._GAP_BLOCK], axis=0)
-        pairs[end:end + len(rows)] = rows
-        end += len(rows)
-    return pairs[:end]
-
-
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                               norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local covariances.
@@ -397,7 +384,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                                       cloud.coords, params.eps, threshold, norm)
     # removed points keep no edges; the survivors' components are
     # renumbered by smallest survivor
-    ids = connected_components(n, _kept_front(pairs, keep))
+    ids = connected_components(n, aff.kept_front(pairs, keep))
     ids_sub, k_found = renumber_first_occurrence(ids[survivors])
     assignments = np.zeros(n, dtype=int)
     assignments[survivors] = ids_sub
@@ -419,7 +406,7 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
                                 eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
                                       params.eps, params.eta, norm)
-    ids = connected_components(cloud.n, _kept_front(pairs, keep))
+    ids = connected_components(cloud.n, aff.kept_front(pairs, keep))
     k_found = int(ids.max())
     return Labeling(assignments=ids, K_found=k_found,
                     info=_scales_info(params, ids, k_found, keep))
@@ -464,6 +451,10 @@ def algorithm4_local_pca_spectral(
 
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
+    if affinity_kind not in ("gauss", "cov", "proj", "wang", "gong", "distance"):
+        raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
     aff.check_scales(eps=eps, eta=eta, alpha=alpha)
     tree = build_index(cloud.coords)
     center_idx = subsample_centers(tree, r, rng)
@@ -499,10 +490,8 @@ def algorithm4_local_pca_spectral(
             w = aff.proj_indicator_affinity(models, eps_used, eta_used)
         elif affinity_kind == "wang":
             w = aff.wang_affinity(models, ell=min(ell, n0 - 1), alpha=alpha)
-        elif affinity_kind == "gong":
-            w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
         else:
-            raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+            w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
         center_labels, graph = _partition_centers(w, y, k, rng)
 
     labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])

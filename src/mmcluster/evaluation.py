@@ -80,6 +80,9 @@ class MethodConfig:
         if self.method not in ("alg2", "alg3", "alg4", "njw_baseline"):
             raise InvalidInput(f"unknown method {self.method!r}")
         check_scales(r=self.r, eps=self.eps, eta=self.eta, alpha=self.alpha)
+        for name, value in (("k", self.k), ("d", self.d), ("ell", self.ell)):
+            if value is not None and value < 1:
+                raise InvalidInput(f"{name} must be >= 1")
         if self.method in ("alg2", "alg3") and (self.eps is None or self.eta is None):
             raise InvalidInput(f"{self.method} requires explicit eps and eta")
         if self.method == "alg3" and not (0 < self.eta < 1):

@@ -1,13 +1,16 @@
 """Radius neighborhoods, nearest sites, center subsampling, and graph components.
 
-Every KD-tree in the package is a plain ``cKDTree`` from
-``build_index``; no other function builds one.  Every neighborhood is a
-closed ball: ``balls(tree, x, r)`` returns exactly the indices j with
-||x - x_j|| <= r, and ``pairs_within(points, r)`` exactly the pairs at
-distance <= r.  The KD-tree is an exact accelerator, never an
-approximation.  It also answers nearest-site queries: its distances,
-widened by a relative 1e-9, bound the candidates, whose distances are
-then recomputed exactly where the tree alone cannot decide.
+Each geometric rule of the package is written here once.  Every KD-tree
+is a plain ``cKDTree`` from ``build_index``, an exact accelerator, never
+an approximation.  Every neighborhood is a closed ball: ``balls(tree, x,
+r)`` returns exactly the indices j with ||x - x_j|| <= r, and
+``pairs_within(points, r)`` exactly the pairs at distance <= r.  Every
+exact distance is the root of a ``sq_dists``.  A tree distance is off by
+far less than the relative widening ``WIDEN``, so ``nearest_site`` and
+``nearest_other`` (whose largest distance is ``auto_epsilon``'s eps) keep
+the tree's nearest neighbor where the next lies beyond it widened twice;
+elsewhere ``sq_dists`` to the candidates within it widened once decide,
+ties to the lowest index.  A pass over pairs goes ``pair_blocks`` at a time.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .errors import InvalidInput, NoSurvivors
 
 Array = np.ndarray
 
-# pairs per block of the components' passes, as affinity._GAP_BLOCK: no
-# temporary of a pass grows with the number of pairs
-_EDGE_BLOCK = 1 << 15
+WIDEN = 1 + 1e-9
+# pairs per block of a pass over a pair list: its buffers stay in cache,
+# and no temporary grows with the number of pairs
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass
@@ -65,6 +69,17 @@ class PointCloud:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+
+def pair_blocks(m: int):
+    """Slices of at most _PAIR_BLOCK rows, in order, that cover m rows."""
+    return (slice(start, start + _PAIR_BLOCK) for start in range(0, m, _PAIR_BLOCK))
+
+
+def sq_dists(a: Array, i: Array, b: Array, j: Array) -> Array:
+    """Exact squared distances ||a[i] - b[j]||^2, row by row."""
+    diff = np.take(a, i, axis=0) - np.take(b, j, axis=0)
+    return (diff * diff).sum(axis=1)
 
 
 def build_index(points: Array) -> cKDTree:
@@ -112,28 +127,27 @@ def connected_components(n_nodes: int, edges: Array) -> Array:
     given pairs; each later round sees only the pairs that still join two
     trees, as pairs of their roots.  Hooks only go to smaller nodes, so
     the trees stay acyclic and each root is the smallest node of its tree.
-    Both passes over the pairs go an _EDGE_BLOCK at a time: min-hooks
-    commute, so hooking block by block ends where one pass over all pairs
-    does, and no temporary but the pairs kept for the next round grows
-    with the number of pairs.
+    Both passes over the pairs go a block at a time: min-hooks commute,
+    so hooking block by block ends where one pass over all pairs does, and
+    no temporary but the pairs kept for the next round grows with them.
     """
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise InvalidInput("edge endpoint out of range")
     root = np.arange(n_nodes)
     while len(edges):
-        for start in range(0, len(edges), _EDGE_BLOCK):
-            i, j = edges[start:start + _EDGE_BLOCK].T
+        for rows in pair_blocks(len(edges)):
+            i, j = edges[rows].T
             np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
         up = root[root]
         while not np.array_equal(up, root):
             root, up = up, up[up]
         crossing = []
-        for start in range(0, len(edges), _EDGE_BLOCK):
-            ends = np.take(root, edges[start:start + _EDGE_BLOCK])
+        for rows in pair_blocks(len(edges)):
+            ends = np.take(root, edges[rows])
             crossing.append(np.compress(ends[:, 0] != ends[:, 1], ends, axis=0))
         edges = np.concatenate(crossing)
-    return renumber_first_occurrence(root)[0]
+    return np.unique(root, return_inverse=True)[1] + 1
 
 
 def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:
@@ -175,29 +189,41 @@ def pair_balls(n: int, pairs: Array) -> tuple[Array, Array]:
     return counts, codes
 
 
-def nearest_site(points: Array, sites: Array) -> Array:
-    """Position in ``sites`` of each point's nearest site (ties: first site).
-
-    One 2-NN tree query decides a point whose second distance exceeds its
-    first, widened twice by a relative 1e-9: no other site can tie, so the
-    tree's nearest site is the answer.  For the near-ties left, the first
-    distance widened by 1e-9 bounds the candidates; among them the squared
-    distance (diff * diff).sum() of each point and site decides, and its
-    ties go to the lowest position.
-    """
+def _nearest(points: Array, sites: Array, skip: int) -> Array:
+    """Position in ``sites`` of each point's nearest site by the rule of
+    the module docstring; with ``skip`` = 1, ``sites`` is ``points``, and
+    each point, first in its tree query, is not its own candidate."""
     tree = build_index(sites)
-    dist, nearest = tree.query(points, k=2)
-    near_tie = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1 + 1e-9) ** 2)
+    dist, near = tree.query(points, k=2 + skip)
+    if skip:
+        # the point itself second means a duplicate first, at distance 0
+        itself = near[:, 1] == np.arange(len(points))
+        near[itself, 1] = near[itself, 0]
+    nearest = near[:, skip]
+    near_tie = np.flatnonzero(dist[:, skip + 1] <= dist[:, skip] * WIDEN**2)
     if near_tie.size:
-        points = points[near_tie]
-        counts, members = balls(tree, points, dist[near_tie, 0] * (1 + 1e-9))
-        diff = np.repeat(points, counts, axis=0) - sites[members]
-        d2 = (diff * diff).sum(axis=1)
+        counts, members = balls(tree, np.take(points, near_tie, axis=0),
+                                dist[near_tie, skip] * WIDEN)
+        owner = np.repeat(near_tie, counts)
+        d2 = sq_dists(points, owner, sites, members)
+        if skip:
+            d2[owner == members] = np.inf
         starts = np.cumsum(counts) - counts
         at_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), counts)
         first = np.minimum.reduceat(np.where(at_min, np.arange(d2.size), d2.size), starts)
-        nearest[near_tie, 0] = members[first]
-    return nearest[:, 0]
+        nearest[near_tie] = members[first]
+    return nearest
+
+
+def nearest_site(points: Array, sites: Array) -> Array:
+    """Position in ``sites`` of each point's nearest site (ties: first site)."""
+    return _nearest(points, sites, 0)
+
+
+def nearest_other(points: Array) -> Array:
+    """Index of each point's nearest other row of ``points``, of which there
+    are at least two (ties: lowest index)."""
+    return _nearest(points, points, 1)
 
 
 def assign_to_closest_survivor(

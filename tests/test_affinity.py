@@ -6,7 +6,7 @@ from scipy import sparse
 
 from conftest import ball_models, random_orthonormal, random_projection
 from mmcluster import affinity as aff
-from mmcluster import linalg
+from mmcluster import linalg, neighborhoods
 from mmcluster.errors import DimensionMismatch, NoPairsInRange, TooFewCenters
 from mmcluster.local_pca import LocalModels
 from mmcluster.neighborhoods import PointCloud, balls, build_index, pairs_within
@@ -71,8 +71,10 @@ class TestCovIndicator:
         c2 = (r**2 / 3) * np.diag([0.0, 1.0])
         models = model_record([[0.0, 0.0], [0.1, 0.1]], covs=[c1, c2])
         eta = 0.4  # below sqrt(2)/3 of nothing: threshold eta*r^2 < gap
-        w = dense(aff.cov_indicator_affinity(models, eps=1.0, eta=eta, r=r, norm="frobenius"))
-        assert w[0, 1] == 0.0
+        # alg2's and alg3's edge test, the one that takes the Frobenius norm
+        pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate, models.centers,
+                                          1.0, eta * r * r, "frobenius")
+        assert pairs.tolist() == [[0, 1]] and keep.tolist() == [False]
         gap = linalg.frobenius_norm(c1 - c2)
         assert gap == pytest.approx(math.sqrt(2) * r**2 / 3)
         assert gap > eta * r**2
@@ -240,7 +242,7 @@ class TestPairGaps:
         # more pairs than one block of the kernel, in no particular order
         i, j = np.triu_indices(n, k=1)
         pairs = np.column_stack([i, j])[rng.permutation(i.size)]
-        assert len(pairs) > aff._GAP_BLOCK
+        assert len(pairs) > neighborhoods._PAIR_BLOCK
         np.testing.assert_array_equal(aff.pairwise_diff_norms(stack, pairs, norm),
                                       self.reference_norms(stack, pairs, norm))
         assert aff.pairwise_diff_norms(stack, pairs[:0], norm).shape == (0,)
@@ -292,7 +294,7 @@ class TestPairGaps:
     @pytest.mark.parametrize("flagged", [0, 1, 30])
     def test_indicator_pairs_gap_live_pairs_block_by_block(self, flagged, monkeypatch):
         # a small block, so that 200 models span many blocks and a short last one
-        monkeypatch.setattr(aff, "_GAP_BLOCK", 97)
+        monkeypatch.setattr(neighborhoods, "_PAIR_BLOCK", 97)
         rng = np.random.default_rng(flagged)
         models = TestSparseShape.random_models(rng, 200, 3, degenerate=False)
         dead = np.zeros(200, dtype=bool)
@@ -301,7 +303,7 @@ class TestPairGaps:
         real = aff.pairwise_diff_norms
 
         def spy(stack, pairs, norm):
-            assert len(pairs) <= aff._GAP_BLOCK
+            assert len(pairs) <= neighborhoods._PAIR_BLOCK
             assert not dead[pairs].any()
             gapped.append(pairs.copy())
             return real(stack, pairs, norm)
@@ -310,7 +312,7 @@ class TestPairGaps:
         pairs, keep = aff.indicator_pairs(models.projection, dead, models.centers, 0.3, 0.8,
                                           "spectral")
         live = ~dead[pairs].any(axis=1)
-        assert len(pairs) > 10 * aff._GAP_BLOCK
+        assert len(pairs) > 10 * neighborhoods._PAIR_BLOCK
         np.testing.assert_array_equal(np.concatenate(gapped), pairs[live])
         want = np.zeros(len(pairs), dtype=bool)
         want[live] = real(models.projection, pairs[live], "spectral") <= 0.8
@@ -626,7 +628,7 @@ class TestAutoScales:
             def query_ball_point(self, *args, **kwargs):
                 return self.tree.query_ball_point(*args, **kwargs)
 
-        monkeypatch.setattr(aff, "build_index", SwappingTree)
+        monkeypatch.setattr(neighborhoods, "build_index", SwappingTree)
         assert aff.auto_epsilon(y) == 5.0
 
     def test_eta_identical_projections(self):

@@ -301,6 +301,17 @@ class TestCluster:
         assert rc == 1
         assert "TooFewCenters" in capsys.readouterr().err
 
+    def test_zero_clusters_exit_2(self, tmp_path, capsys):
+        # r = 5 packs one center, which would take every point
+        data = tmp_path / "seg.csv"
+        segment_csv(data, n=40)
+        out = tmp_path / "x.csv"
+        rc = run_cli(["cluster", data, "--method", "alg4", "--r", 5.0,
+                      "--k", 0, "--d", 1, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not out.exists()
+
     def test_usage_error_exit_2(self, tmp_path, capsys):
         data = tmp_path / "seg.csv"
         segment_csv(data, n=40)
@@ -402,6 +413,15 @@ class TestExperiment:
             assert row["count_below"][key] == sum(r < thr for r in row["rates"])
         table = capsys.readouterr().out
         assert "median" in table and "<5%" in table
+
+    def test_zero_clusters_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        rc = run_cli(["experiment", "--dataset", "two_segments", "--n", 100,
+                      "--method", "alg4", "--r", 0.1, "--k", 0, "--d", 1,
+                      "--trials", 2, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not out.exists()
 
     def test_n_per_cluster_recorded(self, tmp_path):
         out = tmp_path / "report.json"

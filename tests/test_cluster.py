@@ -880,10 +880,9 @@ class TestComponentsInPlace:
         cloud = crossing_cloud(seed=2, n=2000, tau=0.01)
         labels, removed, k, n_edges, n_pairs = full_copy_components(cloud, NOISY_PARAMS,
                                                                     norm, alg)
-        assert n_pairs > 2 * aff._GAP_BLOCK and 0 < n_edges < n_pairs
+        assert n_pairs > 2 * neighborhoods._PAIR_BLOCK and 0 < n_edges < n_pairs
         if block:
-            monkeypatch.setattr(aff, "_GAP_BLOCK", block)
-            monkeypatch.setattr(neighborhoods, "_EDGE_BLOCK", block)
+            monkeypatch.setattr(neighborhoods, "_PAIR_BLOCK", block)
         run = algorithm2_cov_components if alg == 2 else algorithm3_proj_components
         lab = run(cloud, NOISY_PARAMS, norm=norm)
         np.testing.assert_array_equal(lab.assignments, labels)
@@ -956,6 +955,20 @@ class TestAlgorithm4:
         cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))
         with pytest.raises(TooFewCenters):
             algorithm4_local_pca_spectral(cloud, 5.0, 2, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("run", [
+        lambda cloud, rng: algorithm4_local_pca_spectral(cloud, 5.0, 0, 1, rng),
+        lambda cloud, rng: algorithm4_local_pca_spectral(cloud, 5.0, 1, 1, rng,
+                                                         affinity_kind="bogus"),
+        lambda cloud, rng: njw_baseline(cloud, 5.0, 0, rng),
+    ], ids=["k0", "bogus_kind", "baseline_k0"])
+    def test_malformed_k_or_kind_rejected_before_packing(self, run, monkeypatch):
+        # r = 5 packs one center, which would take every point
+        monkeypatch.setattr(cluster, "subsample_centers",
+                            lambda *a: pytest.fail("packed centers for a malformed call"))
+        cloud = PointCloud(np.random.default_rng(0).uniform(size=(40, 2)))
+        with pytest.raises(InvalidInput):
+            run(cloud, np.random.default_rng(0))
 
     def test_info_contains_scales(self):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)

@@ -222,6 +222,12 @@ class TestMethodConfigValidation:
         with pytest.raises(InvalidInput):
             MethodConfig(method="alg4", r=0.1, k=2)
 
+    @pytest.mark.parametrize("field", ["k", "d", "ell"])
+    @pytest.mark.parametrize("method", ["alg4", "njw_baseline"])
+    def test_counts_below_one_rejected(self, method, field):
+        with pytest.raises(InvalidInput, match=f"{field} must be >= 1"):
+            MethodConfig(**{"method": method, "r": 0.1, "k": 2, "d": 1, field: 0})
+
     def test_unknown_method(self):
         with pytest.raises(InvalidInput):
             MethodConfig(method="dbscan", r=0.1)

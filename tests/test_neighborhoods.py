@@ -1,6 +1,8 @@
 import importlib
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from mmcluster.neighborhoods import (
     balls,
     build_index,
     connected_components,
+    nearest_other,
     nearest_site,
     pair_balls,
     pairs_within,
@@ -63,6 +66,15 @@ def test_only_neighborhoods_binds_ckdtree():
                if any(value is spatial.cKDTree or value is spatial
                       for value in vars(importlib.import_module(f"mmcluster.{name}")).values())]
     assert binders == ["neighborhoods"]
+
+
+def test_only_neighborhoods_sets_widening_and_blocks():
+    # the relative widening of tree distances and the pair block size are
+    # each one rule; a second copy elsewhere could drift from it
+    found = {path.stem for path in Path(mmcluster.__file__).parent.glob("*.py")
+             for line in path.read_text().splitlines()
+             if "1e-9" in line or re.match(r"\s*\w*_BLOCK\s*=[^=]", line)}
+    assert found == {"neighborhoods"}
 
 
 def shuffled_lattice(rng, side, dim, spacing):
@@ -216,7 +228,7 @@ class TestConnectedComponents:
         repeated = np.vstack([pairs, again, again[::2, ::-1], pairs[:10_000, ::-1]])
         repeated = repeated[rng.permutation(len(repeated))]
         for size, edges in ((n, path), (n_rand, repeated)):
-            assert len(edges) > 2 * neighborhoods._EDGE_BLOCK
+            assert len(edges) > 2 * neighborhoods._PAIR_BLOCK
             before = edges.copy()
             np.testing.assert_array_equal(connected_components(size, edges),
                                           bfs_components(size, edges))
@@ -228,7 +240,7 @@ class TestConnectedComponents:
         n = 3000
         edges = rng.integers(0, n, size=(2500, 2))
         want = connected_components(n, edges)
-        monkeypatch.setattr(neighborhoods, "_EDGE_BLOCK", 97)
+        monkeypatch.setattr(neighborhoods, "_PAIR_BLOCK", 97)
         np.testing.assert_array_equal(connected_components(n, edges), want)
         np.testing.assert_array_equal(want, bfs_components(n, edges))
 
@@ -383,6 +395,21 @@ class TestNearestSite:
             nearest_site(points, sites)
             assert len(seen) == 1
             np.testing.assert_array_equal(seen[0], points[tied])
+
+    def test_nearest_other_matches_full_broadcast(self):
+        # random clouds, which the tree decides; lattices, whose near-ties
+        # the exact path decides, ties to the lowest index; duplicates,
+        # whose nearest other point lies at distance 0 and may come first
+        rng = np.random.default_rng(9)
+        clouds = [rng.normal(size=(200, 3)), np.array([[0.0], [1.0]]),
+                  rng.permutation(np.repeat(rng.normal(size=(40, 2)), 2, axis=0)),
+                  np.repeat(rng.normal(size=(30, 2)), 3, axis=0)]
+        clouds.extend(points for points, _ in self.lattice_cases(rng))
+        for points in clouds:
+            diff = points[:, None, :] - points[None, :, :]
+            d2 = (diff * diff).sum(axis=2)
+            np.fill_diagonal(d2, np.inf)
+            np.testing.assert_array_equal(nearest_other(points), d2.argmin(axis=1))
 
     def test_tie_goes_to_first_site(self):
         sites = np.array([[1.0], [-1.0], [1.0]])
