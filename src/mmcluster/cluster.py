@@ -40,7 +40,6 @@ from .neighborhoods import (
     build_index,
     connected_components,
     nearest_site,
-    pair_balls,
     pairs_within,
     renumber_first_occurrence,
     subsample_centers,
@@ -300,30 +299,37 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
 def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     """Spectral graph partitioning (Ng, Jordan & Weiss) of a symmetric
     nonnegative affinity, dense or ``scipy.sparse``, whose diagonal holds
-    self-loops.  Checks one dense copy (repeated sparse entries add up),
-    leaving the caller's matrix as it was, and partitions its nonzero
-    entries with ``_njw``, which documents the solver rule and ``info``.
+    self-loops.  A dense affinity is checked as one dense copy; a sparse
+    one over its stored entries, repeated entries added up, with no dense
+    copy.  The caller's matrix is left as it was, and ``_njw``, which
+    documents the solver rule and ``info``, partitions its nonzero entries
+    in row-major order.
     """
     try:
-        w = np.asarray(w.toarray() if sparse.issparse(w) else w, dtype=float)
+        if sparse.issparse(w):  # its stored entries, repeated ones added up
+            w = sparse.csr_array(w, dtype=float, copy=True)
+            w.sum_duplicates()
+            w.eliminate_zeros()
+            entries = w.data
+        else:
+            w = entries = np.asarray(w, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"affinity must be numeric: {exc}") from exc
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidInput("affinity must be square")
-    if not np.all(np.isfinite(w)) or (w < 0).any():
+    if not np.all(np.isfinite(entries)) or (entries < 0).any():
         raise InvalidInput("affinity must be finite and nonnegative")
-    # each n x n temporary is freed before the next one is made
-    gap = w - w.T
-    if (np.abs(gap, out=gap) > 1e-12).any():
-        raise InvalidInput("affinity must be symmetric")
-    del gap
     n = w.shape[0]
     if not 1 <= k <= n:
         raise InvalidInput(f"k={k} out of range for {n} nodes")
+    gap = w - w.T  # a dense one is the one n x n temporary, made absolute in place
+    if np.abs(gap, out=None if sparse.issparse(gap) else gap).max() > 1e-12:
+        raise InvalidInput("affinity must be symmetric")
+    del gap
     if (w.sum(axis=1) <= 0).any():
         raise IsolatedNode("affinity has a zero-degree node")
-    row, col = np.nonzero(w)
-    return _njw(n, row, col, w[row, col], k, rng)
+    row, col = w.nonzero()  # a sparse affinity's stored entries, in their order
+    return _njw(n, row, col, w.data if sparse.issparse(w) else w[row, col], k, rng)
 
 
 def _partition_centers(w: sparse.coo_array, y: Array, k: int,
@@ -368,7 +374,7 @@ def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
     """
     n = cloud.n
     pairs_r = pairs_within(cloud.coords, params.r)
-    models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), d=1)
+    models = batch_local_models(cloud, cloud.coords, pairs_r, d=1)
     threshold = params.eta * params.r**2
 
     removed_mask = np.zeros(n, dtype=bool)
@@ -401,8 +407,7 @@ def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
     ``info`` holds ``n_edges``, the edges kept."""
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
-    models = batch_local_models(cloud, cloud.coords,
-                                *pair_balls(cloud.n, pairs_within(cloud.coords, params.r)),
+    models = batch_local_models(cloud, cloud.coords, pairs_within(cloud.coords, params.r),
                                 eta=params.eta)
     pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
                                       params.eps, params.eta, norm)
@@ -447,7 +452,7 @@ def algorithm4_local_pca_spectral(
     selection and ignores ``d``.  The ``wang`` kind uses neither scale,
     so it runs neither selection and reports both as None.  The ``gong``
     kind reads eps only to select eta, so with a given eta it runs no eps
-    selection and reports eps as None.
+    selection and reports eps as None.  k, kind, d and ell are checked first.
 
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
@@ -455,6 +460,10 @@ def algorithm4_local_pca_spectral(
         raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
     if k < 1:
         raise InvalidInput("k must be >= 1")
+    if affinity_kind != "distance" and not (d is not None and 1 <= d <= cloud.dim):
+        raise InvalidInput(f"d={d} out of range for ambient dimension {cloud.dim}")
+    if affinity_kind in ("wang", "gong") and ell < 1:
+        raise InvalidInput("ell must be >= 1")
     aff.check_scales(eps=eps, eta=eta, alpha=alpha)
     tree = build_index(cloud.coords)
     center_idx = subsample_centers(tree, r, rng)
@@ -463,7 +472,7 @@ def algorithm4_local_pca_spectral(
         raise TooFewCenters(f"{n0} centers cannot form {k} clusters")
     y = cloud.coords[center_idx]
     models = (None if affinity_kind == "distance"
-              else batch_local_models(cloud, y, *balls(tree, y, r), d=d))
+              else batch_local_models(cloud, y, balls(tree, y, r), d=d))
 
     eps_used = eta_used = None
     graph = {"n_edges": 0, "n_components": 1, "n_isolated": 0,

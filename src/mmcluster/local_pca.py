@@ -5,9 +5,10 @@ convention), not m - 1; the closed-form oracles for uniform samples on
 balls and segments rely on this.
 
 One batched kernel serves every caller, over the neighborhoods that the
-caller chooses: ``_covariances`` reduces all neighborhoods at once and
-``_tangents`` runs one eigendecomposition over the stack.  The
-single-matrix functions are views on it over a stack of one.
+caller chooses, ball lists or the pairs within r: ``_covariances`` sums
+offsets within each ball, and ``_tangents`` runs one eigendecomposition
+over the stack.  The single-matrix functions are views on it over a
+stack of one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyNeighborhood, InvalidInput, ZeroCovariance
-from .neighborhoods import PointCloud, balls, build_index
+from .neighborhoods import PointCloud, balls, build_index, pair_blocks
 
 Array = np.ndarray
 
@@ -56,38 +57,48 @@ def empirical_covariance(points: Array) -> Array:
     return linalg.symmetrize(dev.T @ dev / points.shape[0])
 
 
-def _covariances(coords: Array, counts: Array, members: Array) -> Array:
-    """1/m covariances (n, D, D) of flat neighborhoods: ``counts`` (n,)
-    and their ``members``, one neighborhood after another.
-
-    Every count must be positive: ``reduceat`` has no empty segment.
-    Two passes: the mean of each neighborhood, then the deviations from
-    it, so precision does not depend on the distance from the origin.
-    Entries are reduced one (a, b) pair at a time, keeping temporaries
-    at O(nnz * D).  The member rows are gathered with ``np.take``, which
-    returns what ``coords[members]`` does.  Neighborhoods of fewer than 2
-    points get the zero matrix.  Raises InvalidInput when a covariance
-    sum overflows.
-    """
-    # np.take(..., axis=0) for row gathers and np.compress(..., axis=0) for
-    # row masks, here and in affinity and cluster: with NumPy 2.4 a 415k-row
-    # gather from (4000, 2) took 0.50 ms against 5.6 ms for fancy indexing,
-    # and a 900k-row mask 2.3 ms against 13.3 ms for boolean indexing
-    dev = np.take(coords, members, axis=0)
+def _covariances(coords: Array, counts: Array, member: Array,
+                 owner: Array | None = None) -> Array:
+    """1/m covariances (n, D, D) of n neighborhoods of ``counts`` points:
+    the balls of ``member``, one after another, or, with ``owner``, those
+    of the n points, each holding itself, and owner[t] and member[t] each
+    other.  cov = S2 / m - mu mu^T, mu = S1 / m, over the offsets from a
+    point of each ball (Chan, Golub & LeVeque 1983), so precision does not
+    depend on the distance from the origin, and identical points give 0.
+    A ``pair_blocks`` block at a time, ``np.add.reduceat`` sums each
+    ball's run, or ``np.bincount`` both ends of the pairs, where offsets
+    flip sign at member[t].  Raises InvalidInput when a sum overflows."""
+    dim, n = coords.shape[1], len(counts)
+    upper = [(a, b) for a in range(dim) for b in range(a, dim)]
     starts = np.cumsum(counts) - counts
-    mean = np.add.reduceat(dev, starts, axis=0) / counts[:, None]
-    dim = coords.shape[1]
-    for a in range(dim):
-        dev[:, a] -= np.repeat(mean[:, a], counts)
-    covs = np.empty((counts.size, dim, dim))
-    with np.errstate(over="ignore"):  # an overflowed sum is rejected below
-        for a in range(dim):
-            for b in range(a, dim):
-                covs[:, a, b] = covs[:, b, a] = (
-                    np.add.reduceat(dev[:, a] * dev[:, b], starts) / counts)
+    # np.take for gathers, np.compress for masks, here and in affinity and cluster:
+    # with NumPy 2.4, 0.50 against 5.6 ms on a 415k-row gather, 2.3 against 13.3 on a 900k mask
+    mirrored = owner is not None
+    if not mirrored:
+        owner = np.repeat(np.arange(n), counts)
+    ref = coords if mirrored else np.take(coords, np.take(member, starts), axis=0)
+    sums = np.zeros((dim + len(upper), n))  # S1, then S2's entries a <= b
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        for rows in pair_blocks(len(owner)):
+            own, mem = np.ascontiguousarray(owner[rows]), np.ascontiguousarray(member[rows])
+            off = np.take(coords, mem, axis=0)
+            off -= np.take(ref, own, axis=0)
+            terms = [off[:, a] for a in range(dim)] + [off[:, a] * off[:, b] for a, b in upper]
+            if mirrored:
+                for k, t in enumerate(terms):
+                    sums[k] += np.bincount(own, t, n)
+                    sums[k] += (-1.0 if k < dim else 1.0) * np.bincount(mem, t, n)
+            else:  # a sorted bincount takes 10 times as long
+                run = slice(own[0], own[-1] + 1)
+                heads = np.maximum(starts[run] - rows.start, 0)
+                for k, t in enumerate(terms):
+                    sums[k, run] += np.add.reduceat(t, heads)
+        mean = sums[:dim] / counts
+        covs = np.empty((n, dim, dim))
+        for k, (a, b) in enumerate(upper, dim):
+            covs[:, a, b] = covs[:, b, a] = sums[k] / counts - mean[a] * mean[b]
     if not np.isfinite(covs).all():
         raise InvalidInput("coords too large: a neighborhood covariance overflows")
-    covs[counts < 2] = 0.0
     return covs
 
 
@@ -156,19 +167,20 @@ def estimate_dim_thresholded(c: Array, eta: float) -> tuple[int, Array]:
 def batch_local_models(
     cloud: PointCloud,
     y: Array,
-    counts: Array,
-    members: Array,
+    neighborhoods,
     d: int | None = None,
     eta: float | None = None,
 ) -> LocalModels:
     """Local PCA of one neighborhood of ``cloud`` per row of ``y``, in row order.
 
     ``y`` (n, D) holds the neighborhood centers, which become
-    ``LocalModels.centers``; ``counts`` (n,) and ``members`` hold the
-    neighborhoods, flat, as ``neighborhoods.balls`` and ``pair_balls``
-    return them: ``counts.sum()`` indices into the cloud.  Exactly one of
-    ``d`` (fixed tangent dimension) and ``eta`` (threshold scale for
-    dimension estimation) must be given.
+    ``LocalModels.centers``.  ``neighborhoods`` is either the flat
+    ``(counts, members)`` of ``neighborhoods.balls`` (``counts`` (n,) and
+    ``counts.sum()`` indices into the cloud) or, with ``y`` the cloud's
+    points, the (m, 2) pairs (i < j) of ``pairs_within(cloud.coords, r)``,
+    when the closed r-ball of each point holds it and the other end of
+    each of its pairs.  Exactly one of ``d`` (fixed tangent dimension) and
+    ``eta`` (threshold scale for dimension estimation) must be given.
     """
     if (d is None) == (eta is None):
         raise InvalidInput("pass exactly one of d (fixed) or eta (thresholded)")
@@ -176,16 +188,24 @@ def batch_local_models(
         raise InvalidInput(f"d={d} out of range for ambient dimension {cloud.dim}")
     if eta is not None and not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie in (0, 1)")
-    if not len(counts) == len(y) >= 1 or np.min(counts) < 1:
-        raise InvalidInput("need one nonempty neighborhood per center, and a center")
-    # reductions only: no temporary the size of members
-    if (np.sum(counts) != len(members) or np.min(members) < 0
-            or np.max(members) >= cloud.n):
-        raise InvalidInput("members must be counts.sum() indices into the cloud")
-    covs = _covariances(cloud.coords, counts, members)
-    # a mean that is off by rounding leaves covariance entries of about
-    # (D eps_mach max|x|)^2 even for a ball of identical points; no
-    # eigenvalue at or below that level counts
+    # the checks are reductions: no temporary the size of members or pairs
+    if isinstance(neighborhoods, tuple):
+        counts, members = map(np.asarray, neighborhoods)
+        if not len(counts) == len(y) >= 1 or np.min(counts) < 1:
+            raise InvalidInput("need one nonempty neighborhood per center, and a center")
+        if (np.sum(counts) != len(members) or np.min(members) < 0
+                or np.max(members) >= cloud.n):
+            raise InvalidInput("members must be counts.sum() indices into the cloud")
+        covs = _covariances(cloud.coords, counts, members)
+    else:
+        pairs = np.asarray(neighborhoods)
+        if (pairs.shape[1:] != (2,) or not np.array_equal(y, cloud.coords)
+                or pairs.size and (np.min(pairs) < 0 or np.max(pairs) >= cloud.n)):
+            raise InvalidInput("pairs must be (m, 2) indices into the cloud, y = cloud.coords")
+        counts = np.bincount(pairs.ravel(), minlength=cloud.n) + 1
+        covs = _covariances(cloud.coords, counts, pairs[:, 1], pairs[:, 0])
+    # no eigenvalue at or below the rounding of the coordinates,
+    # (D eps_mach max|x|)^2, counts
     rounding = cloud.dim * np.finfo(float).eps
     floor = (rounding * np.abs(cloud.coords).max()) ** 2
     vals, est_dim, proj = _tangents(covs, d=d, eta=eta, floor=floor)
@@ -197,7 +217,6 @@ def batch_local_models(
         # above rounding (say a 2-point ball with d = 2) is arbitrary
         above = vals > np.maximum(rounding * top, floor)
         degenerate = above.sum(axis=1) < d
-    degenerate |= counts < 2
     proj[degenerate] = 0.0
     est_dim[degenerate] = 0
     return LocalModels(centers=y, neighbor_count=counts,

@@ -169,26 +169,6 @@ def balls(tree: cKDTree, x: Array, r) -> tuple[Array, Array]:
     return counts, members
 
 
-def pair_balls(n: int, pairs: Array) -> tuple[Array, Array]:
-    """The closed r-balls of all n points, flat as in ``balls``, from
-    ``pairs``, the (m, 2) pairs (i < j) within r: each ball holds its
-    point and the other end of each of its pairs, in ascending order.
-    The members come from one array of n + 2m sort codes, built and
-    sorted in place; ``pairs`` is only read."""
-    i, j = pairs.T
-    m = len(pairs)
-    # owner * n + member orders each ball's members within it
-    codes = np.concatenate([np.arange(n), i, j])
-    counts = np.bincount(codes, minlength=n)
-    codes *= n
-    codes[:n] += np.arange(n)
-    codes[n:n + m] += j
-    codes[n + m:] += i
-    codes.sort()
-    codes %= n
-    return counts, codes
-
-
 def _nearest(points: Array, sites: Array, skip: int) -> Array:
     """Position in ``sites`` of each point's nearest site by the rule of
     the module docstring; with ``skip`` = 1, ``sites`` is ``points``, and

@@ -29,4 +29,4 @@ def ball_models(cloud, centers, r, **mode):
     """``batch_local_models`` over the closed r-balls of the points at the
     indices ``centers``, as alg4 calls it on its centers."""
     y = cloud.coords[np.asarray(centers, dtype=int)]
-    return batch_local_models(cloud, y, *balls(build_index(cloud.coords), y, r), **mode)
+    return batch_local_models(cloud, y, balls(build_index(cloud.coords), y, r), **mode)

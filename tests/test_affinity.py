@@ -247,6 +247,31 @@ class TestPairGaps:
                                       self.reference_norms(stack, pairs, norm))
         assert aff.pairwise_diff_norms(stack, pairs[:0], norm).shape == (0,)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_frobenius_gaps_from_packed_columns(self, dim):
+        # covariance-like stacks over six decades, more pairs than a block
+        rng = np.random.default_rng(10 + dim)
+        a = rng.normal(size=(400, dim, dim)) * rng.uniform(1e-3, 1e3, size=(400, 1, 1))
+        stack = a @ a.transpose(0, 2, 1)
+        pairs = rng.integers(0, len(stack), size=(neighborhoods._PAIR_BLOCK + 999, 2))
+        got = aff.pairwise_diff_norms(stack, pairs, "frobenius")
+        diffs = stack[pairs[:, 0]] - stack[pairs[:, 1]]
+        want = np.linalg.norm(diffs, axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0)
+        # the gap of both ends' rows gathered whole, squared and summed
+        # along the row, which the kernel replaced, bit for bit
+        rows = np.square(diffs.reshape(len(pairs), -1))
+        np.testing.assert_array_equal(got, np.sqrt(rows.sum(axis=1)))
+
+    def test_sum_in_numpy_order(self):
+        # a row of n <= 128 numbers summed by NumPy, against the arrays
+        # summed in the written order: both regimes of its pairwise summation
+        rng = np.random.default_rng(0)
+        for n in range(1, 129):
+            rows = rng.normal(size=(500, n)) * rng.uniform(1e-8, 1e8, size=(500, n))
+            got = aff._sum_as_numpy([np.ascontiguousarray(col) for col in rows.T])
+            np.testing.assert_array_equal(got, rows.sum(axis=1))
+
     @staticmethod
     def pair_set(pairs):
         """The pairs as a set of sorted rows; no pair may repeat."""

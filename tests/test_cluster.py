@@ -31,13 +31,11 @@ from mmcluster.cluster import (
 from mmcluster.datasets import DatasetSpec, generate
 from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
 from mmcluster.evaluation import misclustering_rate
-from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import (
     PointCloud,
     assign_to_closest_survivor,
     balls,
     build_index,
-    pair_balls,
     pairs_within,
     renumber_first_occurrence,
     subsample_centers,
@@ -355,6 +353,37 @@ class TestNJW:
             a = njw_partition(w, k, np.random.default_rng(seed))
             b = njw_partition(sparse.coo_array(w), k, np.random.default_rng(seed))
             np.testing.assert_array_equal(a.assignments, b.assignments)
+            assert repr(a.info) == repr(b.info)
+
+    def test_sparse_input_checked_without_a_dense_copy(self):
+        # 20 rings of 300 nodes: a dense copy would take 288 MB; 20
+        # components for k = 20 need no eigensolver either
+        n, size = 6000, 300
+        i = np.arange(n)
+        j = i - i % size + (i + 1) % size
+        w = sparse.coo_array((np.ones(3 * n), (np.r_[i, j, i], np.r_[j, i, i])), shape=(n, n))
+        tracemalloc.start()
+        try:
+            lab = njw_partition(w, n // size, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(lab.assignments, i // size + 1)
+        assert peak < 5e6
+
+    def test_sparse_repeated_entries_add_up(self):
+        # CSR that stores each entry as two halves, left as it was
+        n = 9
+        w = _random_block_affinity(np.random.default_rng(5), n, 2)
+        split = sparse.csr_array((np.repeat(w / 2, 2, axis=1).ravel(),
+                                  np.tile(np.repeat(np.arange(n), 2), n),
+                                  np.arange(0, 2 * n * n + 1, 2 * n)), shape=(n, n))
+        assert split.nnz == 2 * n * n
+        data_before = split.data.copy()
+        want = njw_partition(w, 2, np.random.default_rng(1))
+        got = njw_partition(split, 2, np.random.default_rng(1))
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        np.testing.assert_array_equal(split.data, data_before)
 
     @pytest.mark.parametrize("defect", ["asymmetric", "negative", "nan", "inf"])
     def test_sparse_invalid_rejected(self, defect):
@@ -651,10 +680,9 @@ NOISY_PARAMS = ScaleParams(r=0.12, eps=0.2, eta=0.2)
 
 
 def point_models(cloud, r, **mode):
-    """``batch_local_models`` over the closed r-balls of every point, as
-    alg2 and alg3 call it."""
-    pairs_r = pairs_within(cloud.coords, r)
-    return batch_local_models(cloud, cloud.coords, *pair_balls(cloud.n, pairs_r), **mode)
+    """``batch_local_models`` over the closed r-balls of every point, from
+    the ball queries: alg2 and alg3 read the same balls from their r-pairs."""
+    return ball_models(cloud, np.arange(cloud.n), r, **mode)
 
 
 def brute_force_edges(coords, stack, dead, eps, threshold, norm):
@@ -847,7 +875,7 @@ def full_copy_components(cloud, params, norm, alg):
     n = cloud.n
     pairs_r = pairs_within(cloud.coords, params.r)
     mode = {"d": 1} if alg == 2 else {"eta": params.eta}
-    models = batch_local_models(cloud, cloud.coords, *pair_balls(n, pairs_r), **mode)
+    models = point_models(cloud, params.r, **mode)
     band = np.zeros(n, dtype=bool)
     if alg == 2:
         stack, threshold = models.covariance, params.eta * params.r**2
@@ -969,6 +997,22 @@ class TestAlgorithm4:
         cloud = PointCloud(np.random.default_rng(0).uniform(size=(40, 2)))
         with pytest.raises(InvalidInput):
             run(cloud, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind, d, ell", [
+        ("gauss", 3, 10), ("cov", 0, 10), ("proj", None, 10), ("gong", -1, 10),
+        ("wang", 1, 0), ("gong", 1, 0),
+    ])
+    def test_malformed_d_or_ell_rejected_before_packing(self, kind, d, ell, monkeypatch):
+        # d against the ambient dimension 2 (every kind but distance reads
+        # it), ell for the kinds that read it; nothing is packed or fitted
+        monkeypatch.setattr(cluster, "subsample_centers",
+                            lambda *a: pytest.fail("packed centers for a malformed call"))
+        monkeypatch.setattr(cluster, "batch_local_models",
+                            lambda *a, **kw: pytest.fail("fitted local models"))
+        cloud = PointCloud(np.random.default_rng(0).uniform(size=(200, 2)))
+        with pytest.raises(InvalidInput):
+            algorithm4_local_pca_spectral(cloud, 0.2, 2, d, np.random.default_rng(0),
+                                          affinity_kind=kind, ell=ell)
 
     def test_info_contains_scales(self):
         cloud = crossing_cloud(seed=9, n=1000, tau=0.01)

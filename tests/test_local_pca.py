@@ -13,7 +13,7 @@ from mmcluster.local_pca import (
     estimate_projection,
     local_covariance,
 )
-from mmcluster.neighborhoods import PointCloud, balls, build_index, pair_balls, pairs_within
+from mmcluster.neighborhoods import PointCloud, balls, build_index, pairs_within
 
 
 def segment_cloud(n, direction, lo=-1.0, hi=1.0, offset=None):
@@ -194,7 +194,7 @@ class TestBatchLocalModels:
                     (y, np.array([counts[0], 0, counts[1] + counts[2]]), members),
                     (y[:0], counts[:0], members[:0])):
             with pytest.raises(InvalidInput):
-                batch_local_models(cloud, *bad, d=1)
+                batch_local_models(cloud, bad[0], bad[1:], d=1)
 
     def test_members_must_be_counts_sum_indices_into_the_cloud(self):
         # unchecked, members past counts.sum() are ignored (the first case
@@ -205,8 +205,8 @@ class TestBatchLocalModels:
         for counts, members in (([1], [0, 1, 2]), ([2], [0, -1]), ([2], [0, 4]),
                                 ([3], [0, 1])):
             with pytest.raises(InvalidInput):
-                batch_local_models(cloud, y, np.array(counts), np.array(members), d=1)
-        ok = batch_local_models(cloud, y, np.array([2]), np.array([0, 3]), d=1)
+                batch_local_models(cloud, y, (np.array(counts), np.array(members)), d=1)
+        ok = batch_local_models(cloud, y, (np.array([2]), np.array([0, 3])), d=1)
         assert ok.covariance[0, 0, 0] == 6.25
 
     def test_degenerate_single_point(self):
@@ -274,11 +274,23 @@ class TestBatchLocalModels:
             coords, r = np.repeat(rng.uniform(size=(40, 3)), 2, axis=0), 0.3
         cloud = PointCloud(coords)
         want = ball_models(cloud, np.arange(cloud.n), r, **mode)
-        got = batch_local_models(cloud, cloud.coords,
-                                 *pair_balls(cloud.n, pairs_within(cloud.coords, r)), **mode)
-        for field in ("centers", "neighbor_count", "covariance", "projection",
-                      "est_dim", "degenerate"):
+        got = batch_local_models(cloud, cloud.coords, pairs_within(cloud.coords, r), **mode)
+        for field in ("centers", "neighbor_count", "est_dim", "degenerate"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        # the two producers sum offsets from other points of a ball, in
+        # other orders, so the covariances agree to rounding only, and each
+        # projection to that over the gap at its cut (Davis & Kahan 1970);
+        # where the gap is 0, as on the lattice, no projection is determined
+        change = np.abs(got.covariance - want.covariance).max()
+        assert change <= 1e-12 * np.abs(want.covariance).max()
+        vals = np.pad(np.linalg.eigvalsh(want.covariance), ((0, 0), (1, 0)))
+        rank = np.maximum(want.est_dim, 1)
+        rows = np.arange(cloud.n)
+        gap = vals[rows, -rank] - vals[rows, -rank - 1]
+        ok = ~want.degenerate & (gap > 0)
+        assert ok.any()
+        moved = np.abs(got.projection - want.projection).max(axis=(1, 2))
+        assert (moved[ok] <= 4 * change / gap[ok] + 1e-13).all()
         if kind == "duplicates":
             assert want.degenerate.any()
 
@@ -314,3 +326,84 @@ class TestBatchLocalModels:
             assert linalg.spectral_norm(cov) <= r**2 + 1e-12
             assert np.trace(proj) == pytest.approx(models.est_dim[k], abs=1e-9)
             assert linalg.spectral_norm(proj @ proj - proj) <= 1e-10
+
+
+def kernel_cloud(kind, dim, rng):
+    """(coords, y, r) of the covariance-kernel cases: y holds ball centers,
+    some of them off the cloud's points."""
+    if kind == "shifted":
+        coords = rng.uniform(-1.0, 1.0, size=(300, dim)) + 1e6
+        return coords, np.vstack([coords[::9], coords[1::9] + 0.05]), 0.6
+    if kind == "identical":
+        # groups of identical points, far apart
+        sites = 10.0 * np.arange(6.0)[:, None] * np.ones(dim)
+        coords = np.repeat(sites, 4, axis=0)
+        return coords, np.vstack([sites, sites + 0.1]), 0.5
+    if kind == "two_points":
+        # balls of two distinct points each, far apart
+        sites = 10.0 * np.arange(6.0)[:, None] * np.ones(dim)
+        coords = np.vstack([sites, sites + rng.uniform(-0.1, 0.1, size=sites.shape)])
+        return coords, np.vstack([sites, sites + 0.01]), 0.5
+    raise ValueError(kind)
+
+
+class TestCovarianceKernel:
+    """Covariances summed over offsets from a point of each ball, against
+    the two-pass covariance of each ball's points."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["shifted", "identical", "two_points"])
+    def test_matches_empirical_covariance_of_each_ball(self, kind, dim):
+        coords, y, r = kernel_cloud(kind, dim, np.random.default_rng(dim))
+        cloud = PointCloud(coords)
+        counts, members = balls(build_index(coords), y, r)
+        d = 2 if kind == "two_points" and dim >= 2 else 1
+        models = batch_local_models(cloud, y, (counts, members), d=d)
+        np.testing.assert_array_equal(models.neighbor_count, counts)
+        starts = np.cumsum(counts) - counts
+        for k, (start, count) in enumerate(zip(starts, counts)):
+            want = empirical_covariance(coords[members[start:start + count]])
+            got = models.covariance[k]
+            np.testing.assert_array_equal(got, got.T)
+            if kind == "identical":
+                # offsets from a point of the ball are all exactly 0
+                np.testing.assert_array_equal(got, np.zeros((dim, dim)))
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if kind == "identical" or kind == "two_points" and dim >= 2:
+            # no covariance has d eigenvalues above rounding
+            assert models.degenerate.all() and not models.est_dim.any()
+            np.testing.assert_array_equal(models.projection, 0.0)
+        else:
+            assert not models.degenerate.any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pair_sums_match_ball_sums_far_from_the_origin(self, dim):
+        coords = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(300, dim)) + 1e6
+        cloud = PointCloud(coords)
+        got = batch_local_models(cloud, coords, pairs_within(coords, 0.6), d=1).covariance
+        want = ball_models(cloud, np.arange(cloud.n), 0.6, d=1).covariance
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflowing_sums_rejected(self, dim):
+        # inside PointCloud's squared-distance limit, but the sums of 60
+        # squared offsets of up to 6e153 overflow
+        signs = np.random.default_rng(dim).choice([-1.0, 1.0], size=(60, dim))
+        cloud = PointCloud(3e153 * signs)
+        for neighborhoods in (pairs_within(cloud.coords, 1e155),
+                              balls(build_index(cloud.coords), cloud.coords, 1e155)):
+            with pytest.raises(InvalidInput):
+                batch_local_models(cloud, cloud.coords, neighborhoods, d=1)
+        with pytest.raises(InvalidInput):
+            local_covariance(cloud, cloud.coords[0], 1e155)
+
+    def test_malformed_pairs_rejected(self):
+        cloud = segment_cloud(20, [1.0, 0.0])
+        pairs = pairs_within(cloud.coords, 0.3)
+        for y, bad in ((cloud.coords, pairs[:, :1]), (cloud.coords, pairs.ravel()),
+                       (cloud.coords, np.vstack([pairs, [[0, 20]]])),
+                       (cloud.coords, np.vstack([pairs, [[-1, 3]]])),
+                       (cloud.coords[:5], pairs), (cloud.coords + 1.0, pairs)):
+            with pytest.raises(InvalidInput):
+                batch_local_models(cloud, y, bad, d=1)

@@ -14,6 +14,7 @@ from scipy.sparse import csgraph
 import mmcluster
 from mmcluster import neighborhoods
 from mmcluster.errors import InvalidInput, NoSurvivors
+from mmcluster.local_pca import batch_local_models
 from mmcluster.neighborhoods import (
     PointCloud,
     assign_to_closest_survivor,
@@ -22,7 +23,6 @@ from mmcluster.neighborhoods import (
     connected_components,
     nearest_other,
     nearest_site,
-    pair_balls,
     pairs_within,
     renumber_first_occurrence,
     subsample_centers,
@@ -99,12 +99,17 @@ BALL_CLOUDS = {
 
 @pytest.mark.parametrize("name", sorted(BALL_CLOUDS))
 def test_pair_balls_equal_ball_queries(name):
+    # the balls that alg2 and alg3 read from their r-pairs: the counts are
+    # those of the ball queries, and the covariances, summed in another
+    # order, agree to rounding
     coords, r = BALL_CLOUDS[name](np.random.default_rng(3))
-    counts, members = pair_balls(len(coords), pairs_within(coords, r))
-    want_counts, want_members = balls(build_index(coords), coords, r)
-    np.testing.assert_array_equal(counts, want_counts)
-    np.testing.assert_array_equal(members, want_members)
-    assert counts.dtype == want_counts.dtype and members.dtype == want_members.dtype
+    cloud = PointCloud(coords)
+    got = batch_local_models(cloud, coords, pairs_within(coords, r), d=1)
+    counts, members = balls(build_index(coords), coords, r)
+    want = batch_local_models(cloud, coords, (counts, members), d=1)
+    np.testing.assert_array_equal(got.neighbor_count, counts)
+    assert np.abs(got.covariance - want.covariance).max() <= 1e-12 * max(
+        np.abs(want.covariance).max(), np.finfo(float).tiny)
 
 
 class TestSubsampleCenters:
