@@ -31,6 +31,7 @@ from .neighborhoods import (WIDEN, build_index, nearest_other, pair_blocks, pair
                             sq_dists)
 
 Array = np.ndarray
+NORMS = ("spectral", "frobenius")  # the matrix norms of alg2's and alg3's edge test
 
 # Gaussian-type affinities weight only pairs within _CUTOFF scales, and
 # no affinity stores a weight below exp(-_CUTOFF^2)
@@ -44,6 +45,12 @@ def check_scales(**scales: float | None) -> None:
     for name, value in scales.items():
         if value is not None and not 0 < value < math.inf:
             raise InvalidInput(f"{name} must be finite and positive")
+
+
+def check_norm(norm: str) -> None:
+    """Raise InvalidInput unless ``norm`` is one of ``NORMS``."""
+    if norm not in NORMS:
+        raise InvalidInput(f"unknown norm mode {norm!r}")
 
 
 @dataclass
@@ -79,8 +86,7 @@ def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
     time.  The Frobenius norm gathers each entry a <= b from a contiguous
     column with a 1-D ``np.take`` and adds the D^2 squares as NumPy adds
     a row of them: up to D = 11, bit for bit the gap of the gathered rows."""
-    if norm not in ("spectral", "frobenius"):
-        raise InvalidInput(f"unknown norm mode {norm!r}")
+    check_norm(norm)
     dim = stack.shape[1]
     flat = stack.reshape(stack.shape[0], -1)
     cols = {(a, b): np.ascontiguousarray(stack[:, a, b])

@@ -25,6 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .affinity import NORMS
 from .datasets import DATASET_NAMES, DatasetSpec, generate, geometry
 from .errors import InvalidInput, MMClusterError
 from .evaluation import (
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=None, help="intrinsic dimension")
         p.add_argument("--affinity", choices=("cov", "proj", "gauss", "wang", "gong"),
                        default="gauss")
-        p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
+        p.add_argument("--norm", choices=NORMS, default="spectral")
         p.add_argument("--ell", type=int, default=10,
                        help="neighbor count for wang/gong affinities")
         p.add_argument("--alpha", type=float, default=2.0,

@@ -5,10 +5,11 @@ Five entry points:
 * ``njw_partition``        spectral graph partitioning of an affinity matrix
   (degree normalization, top-K eigenvector embedding, row renormalization,
   k-means++);
-* ``algorithm2_cov_components``  binary graph from covariance comparison,
-  an intersection-removal step, connected components, reassignment;
-* ``algorithm3_proj_components`` binary graph from thresholded-dimension
-  projection comparison, connected components;
+* ``algorithm2_cov_components``  removal of an intersection band, then a
+  binary graph from covariance comparison, connected components, and
+  reassignment of the band;
+* ``algorithm3_proj_components`` the same components body with an empty
+  band, on thresholded-dimension projections; both check the norm first;
 * ``algorithm4_local_pca_spectral``  center subsampling, local PCA with a
   fixed tangent dimension, a soft product affinity, spectral partitioning
   of the centers, nearest-center label transfer;
@@ -18,7 +19,7 @@ Five entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -79,8 +80,8 @@ class Labeling:
     before their reassignment, when the pipeline has such a step.  ``info``
     holds the pipeline's diagnostics: the scales ``eps`` and ``eta`` it
     used (None where it used none), ``cluster_sizes``, the edge count
-    ``n_edges`` of its graph (alg2: kept edges between survivors; alg3:
-    kept edges; the center-graph pipelines: stored pairs of the center
+    ``n_edges`` of its graph (alg2 and alg3: kept edges, none touching the
+    removed band; the center-graph pipelines: stored pairs of the center
     affinity), and for the center-graph pipelines ``n_centers``,
     ``center_indices``, the count ``n_isolated`` of centers with no
     stored pair, the component count ``n_components`` of the other
@@ -360,70 +361,62 @@ def _partition_centers(w: sparse.coo_array, y: Array, k: int,
     return out, info
 
 
+def _components(cloud: PointCloud, params: aff.ScaleParams, stack: Array, dead: Array,
+                band: Array, threshold: float, norm: str) -> Labeling:
+    """alg2's and alg3's components: each pair within eps of points neither
+    ``dead`` nor in the removal ``band`` (a mask, empty in alg3) is an edge
+    if its gap in ``stack`` stays within ``threshold``.  Components are
+    numbered by smallest node; a non-empty band's points join their nearest
+    survivor's, after the survivors' are renumbered."""
+    if band.all():
+        raise AllPointsRemoved("the removal step deleted every point")
+    pairs, keep = aff.indicator_pairs(stack, dead | band, cloud.coords, params.eps,
+                                      threshold, norm)
+    info = {"eps": params.eps, "eta": params.eta, "n_edges": int(np.count_nonzero(keep))}
+    ids = connected_components(cloud.n, aff.kept_front(pairs, keep))
+    k_found = int(ids.max())
+    if band.any():
+        survivors, removed = np.flatnonzero(~band), np.flatnonzero(band)
+        ids[survivors], k_found = renumber_first_occurrence(ids[survivors])
+        ids[removed] = assign_to_closest_survivor(cloud, removed, survivors, ids[survivors])
+    return Labeling(ids, k_found, info=info | {"cluster_sizes": _cluster_sizes(ids, k_found)})
+
+
 def algorithm2_cov_components(cloud: PointCloud, params: aff.ScaleParams,
                               norm: str = "spectral") -> Labeling:
-    """Connected-component extraction by comparing local covariances.
-
-    Steps: local covariances over r-balls; removal of any point having an
-    r-neighbor with covariance gap above eta * r^2; binary affinity
-    (distance within eps, covariance gap within eta * r^2) between the
-    surviving, non-degenerate points, so no pair that touches the removed
-    band is queried or gapped; connected components of that graph;
-    removed points join their nearest survivor's component.  ``info``
-    holds ``n_edges``, the edges kept between survivors.
-    """
-    n = cloud.n
+    """Connected-component extraction by comparing local covariances:
+    local covariances over r-balls; removal of the band of points with an
+    r-neighbor at covariance gap above eta * r^2; ``_components`` at that
+    threshold, so no pair touching the band is queried or gapped.
+    ``removed`` holds the band, possibly empty."""
+    aff.check_norm(norm)
     pairs_r = pairs_within(cloud.coords, params.r)
     models = batch_local_models(cloud, cloud.coords, pairs_r, d=1)
     threshold = params.eta * params.r**2
-
-    removed_mask = np.zeros(n, dtype=bool)
+    band = np.zeros(cloud.n, dtype=bool)
     gaps = aff.pairwise_diff_norms(models.covariance, pairs_r, norm)
-    removed_mask[np.compress(gaps > threshold, pairs_r, axis=0).ravel()] = True
+    band[np.compress(gaps > threshold, pairs_r, axis=0).ravel()] = True
     del pairs_r, gaps
-    survivors = np.flatnonzero(~removed_mask)
-    removed = np.flatnonzero(removed_mask)
-    if survivors.size == 0:
-        raise AllPointsRemoved("the removal step deleted every point")
-
-    pairs, keep = aff.indicator_pairs(models.covariance, models.degenerate | removed_mask,
-                                      cloud.coords, params.eps, threshold, norm)
-    # removed points keep no edges; the survivors' components are
-    # renumbered by smallest survivor
-    ids = connected_components(n, aff.kept_front(pairs, keep))
-    ids_sub, k_found = renumber_first_occurrence(ids[survivors])
-    assignments = np.zeros(n, dtype=int)
-    assignments[survivors] = ids_sub
-    if removed.size:
-        assignments[removed] = assign_to_closest_survivor(cloud, removed, survivors, ids_sub)
-    return Labeling(assignments=assignments, K_found=k_found, removed=removed,
-                    info=_scales_info(params, assignments, k_found, keep))
+    return replace(_components(cloud, params, models.covariance, models.degenerate, band,
+                               threshold, norm), removed=np.flatnonzero(band))
 
 
 def algorithm3_proj_components(cloud: PointCloud, params: aff.ScaleParams,
                                norm: str = "spectral") -> Labeling:
     """Connected-component extraction by comparing local projections with
-    thresholded dimension estimation.  May return more than two groups.
-    ``info`` holds ``n_edges``, the edges kept."""
+    thresholded dimension estimation: ``_components`` at threshold eta,
+    with no removal band.  May return more than two groups."""
     if not params.eta < 1.0:
         raise InvalidInput("projection comparison requires eta < 1")
+    aff.check_norm(norm)
     models = batch_local_models(cloud, cloud.coords, pairs_within(cloud.coords, params.r),
                                 eta=params.eta)
-    pairs, keep = aff.indicator_pairs(models.projection, models.degenerate, cloud.coords,
-                                      params.eps, params.eta, norm)
-    ids = connected_components(cloud.n, aff.kept_front(pairs, keep))
-    k_found = int(ids.max())
-    return Labeling(assignments=ids, K_found=k_found,
-                    info=_scales_info(params, ids, k_found, keep))
+    return _components(cloud, params, models.projection, models.degenerate,
+                       np.zeros(cloud.n, dtype=bool), params.eta, norm)
 
 
 def _cluster_sizes(labels: Array, k_found: int) -> list[int]:
     return np.bincount(labels, minlength=k_found + 1)[1:].tolist()
-
-
-def _scales_info(params: aff.ScaleParams, labels: Array, k_found: int, keep: Array) -> dict:
-    return {"eps": params.eps, "eta": params.eta, "n_edges": int(np.count_nonzero(keep)),
-            "cluster_sizes": _cluster_sizes(labels, k_found)}
 
 
 def algorithm4_local_pca_spectral(

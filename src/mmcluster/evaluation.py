@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import cluster as clu
-from .affinity import ScaleParams, check_scales, lower_median
+from .affinity import ScaleParams, check_norm, check_scales, lower_median
 from .cluster import Labeling
 from .datasets import DatasetSpec, generate, global_radius
 from .errors import InvalidInput, MMClusterError
@@ -80,6 +80,7 @@ class MethodConfig:
         if self.method not in ("alg2", "alg3", "alg4", "njw_baseline"):
             raise InvalidInput(f"unknown method {self.method!r}")
         check_scales(r=self.r, eps=self.eps, eta=self.eta, alpha=self.alpha)
+        check_norm(self.norm)
         for name, value in (("k", self.k), ("d", self.d), ("ell", self.ell)):
             if value is not None and value < 1:
                 raise InvalidInput(f"{name} must be >= 1")
@@ -98,12 +99,10 @@ class MethodConfig:
 def run_method(cloud: PointCloud, cfg: MethodConfig, seed: int) -> Labeling:
     """Run the configured pipeline on a point cloud with a fresh generator."""
     rng = np.random.default_rng(seed)
-    if cfg.method == "alg2":
-        params = ScaleParams(r=cfg.r, eps=cfg.eps, eta=cfg.eta)
-        return clu.algorithm2_cov_components(cloud, params, norm=cfg.norm)
-    if cfg.method == "alg3":
-        params = ScaleParams(r=cfg.r, eps=cfg.eps, eta=cfg.eta)
-        return clu.algorithm3_proj_components(cloud, params, norm=cfg.norm)
+    if cfg.method in ("alg2", "alg3"):
+        run = {"alg2": clu.algorithm2_cov_components, "alg3": clu.algorithm3_proj_components}
+        return run[cfg.method](cloud, ScaleParams(r=cfg.r, eps=cfg.eps, eta=cfg.eta),
+                               norm=cfg.norm)
     if cfg.method == "alg4":
         return clu.algorithm4_local_pca_spectral(
             cloud, cfg.r, cfg.k, cfg.d, rng, eps=cfg.eps, eta=cfg.eta,

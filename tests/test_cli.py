@@ -301,6 +301,16 @@ class TestCluster:
         assert rc == 1
         assert "TooFewCenters" in capsys.readouterr().err
 
+    def test_all_points_removed_exit_1(self, tmp_path, capsys):
+        # a uniform cloud has no tangent: at eta = 1e-6 alg2's band is every point
+        data = tmp_path / "uniform.csv"
+        cli.write_cloud_csv(PointCloud(np.random.default_rng(0).uniform(size=(400, 2))),
+                            str(data))
+        rc = run_cli(["cluster", data, "--method", "alg2", "--r", 0.2, "--eps", 0.3,
+                      "--eta", 1e-6, "--out", tmp_path / "x.csv"])
+        assert rc == 1
+        assert "algorithm failure: AllPointsRemoved" in capsys.readouterr().err
+
     def test_zero_clusters_exit_2(self, tmp_path, capsys):
         # r = 5 packs one center, which would take every point
         data = tmp_path / "seg.csv"

@@ -29,7 +29,13 @@ from mmcluster.cluster import (
     njw_partition,
 )
 from mmcluster.datasets import DatasetSpec, generate
-from mmcluster.errors import InvalidInput, IsolatedNode, TooFewCenters, TooFewRows
+from mmcluster.errors import (
+    AllPointsRemoved,
+    InvalidInput,
+    IsolatedNode,
+    TooFewCenters,
+    TooFewRows,
+)
 from mmcluster.evaluation import misclustering_rate
 from mmcluster.neighborhoods import (
     PointCloud,
@@ -798,6 +804,18 @@ class TestAlgorithm2:
             gaps = pairwise_diff_norms(covs, pairs, "spectral")
             assert (i in removed) == bool((gaps > params.eta * params.r**2).any())
 
+    def test_all_points_removed_before_any_eps_pair(self, monkeypatch):
+        # a uniform cloud has no tangent: at eta = 1e-6 every point has an
+        # r-neighbor whose covariance gap exceeds eta r^2, so the band is
+        # the whole cloud and no eps-pair is queried
+        cloud = PointCloud(np.random.default_rng(0).uniform(size=(400, 2)))
+        calls = []
+        original = aff.indicator_pairs
+        monkeypatch.setattr(aff, "indicator_pairs",
+                            lambda *a, **kw: calls.append(a) or original(*a, **kw))
+        with pytest.raises(AllPointsRemoved):
+            algorithm2_cov_components(cloud, ScaleParams(r=0.2, eps=0.3, eta=1e-6))
+        assert calls == []
 
     @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -864,6 +882,18 @@ class TestAlgorithm3:
         cloud = single_segment_cloud(100)
         with pytest.raises(InvalidInput):
             algorithm3_proj_components(cloud, ScaleParams(r=0.1, eps=0.2, eta=1.5))
+
+
+@pytest.mark.parametrize("run", [algorithm2_cov_components, algorithm3_proj_components])
+def test_unknown_norm_rejected_before_any_work(run, monkeypatch):
+    # four points 5 apart share no pair within eps, so no gap would ever
+    # read the norm; the check comes before the first pair query
+    cloud = PointCloud(np.column_stack([5.0 * np.arange(4), np.zeros(4)]))
+    calls = []
+    monkeypatch.setattr(cluster, "pairs_within", lambda *a: calls.append(a) or pairs_within(*a))
+    with pytest.raises(InvalidInput, match="unknown norm mode 'bogus'"):
+        run(cloud, ScaleParams(r=0.1, eps=0.2, eta=0.5), norm="bogus")
+    assert calls == []
 
 
 def full_copy_components(cloud, params, norm, alg):

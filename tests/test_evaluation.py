@@ -228,6 +228,11 @@ class TestMethodConfigValidation:
         with pytest.raises(InvalidInput, match=f"{field} must be >= 1"):
             MethodConfig(**{"method": method, "r": 0.1, "k": 2, "d": 1, field: 0})
 
+    @pytest.mark.parametrize("method", ["alg2", "alg3"])
+    def test_unknown_norm(self, method):
+        with pytest.raises(InvalidInput, match="unknown norm mode 'bogus'"):
+            MethodConfig(method=method, r=0.1, eps=0.2, eta=0.5, norm="bogus")
+
     def test_unknown_method(self):
         with pytest.raises(InvalidInput):
             MethodConfig(method="dbscan", r=0.1)
