@@ -3,12 +3,17 @@
 The center-graph affinities compare matrices in the spectral norm;
 ``pairwise_diff_norms`` and ``indicator_pairs``, alg2's and alg3's edge
 test, also take ``norm="frobenius"``.  Every scale must be finite and
-positive.  Every affinity is a symmetric ``scipy.sparse`` COO matrix
-that stores exactly its off-diagonal entries of weight at least
-exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF = 6.1: no diagonal (NJW's
-A_ii = 0) and nothing below that floor, so one rule holds for every kind.
+positive.  Each affinity kind has one pair builder, listed in
+``PAIR_BUILDERS`` under the kind's name: it returns the graph as its
+strict-upper pairs (p, 2), i < j, and their weights (p,), keeping exactly
+the pairs of weight at least exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF =
+6.1: no diagonal (NJW's A_ii = 0) and nothing below that floor, so one
+rule holds for every kind.  alg4 and the baseline carry that pair list to
+the eigensolve.  Each public ``*_affinity`` function returns the same
+graph as a symmetric ``scipy.sparse`` COO matrix, each pair stored with
+its mirror.
 
-* the indicator kinds (``cov``, ``proj``) store their connected pairs
+* the indicator kinds (``cov``, ``proj``) keep their connected pairs
   within eps;
 * the Gaussian kinds (``distance``, ``gauss``, ``gong``) weigh only the
   pairs within _CUTOFF spatial scales; every pair beyond weighs less than
@@ -158,23 +163,35 @@ def kept_front(pairs: Array, keep: Array) -> Array:
     return pairs[:end]
 
 
+def _floored(pairs: Array, vals: Array) -> tuple[Array, Array]:
+    """The ``pairs`` and ``vals`` whose value is at least _FLOOR."""
+    kept = vals >= _FLOOR
+    return np.compress(kept, pairs, axis=0), np.compress(kept, vals)
+
+
 def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
     """n x n COO matrix with ``vals`` at the (i < j) ``pairs`` and their
-    mirrors; values below _FLOOR are not stored."""
-    kept = vals >= _FLOOR
-    i, j = np.compress(kept, pairs, axis=0).T
-    vals = np.compress(kept, vals)
+    mirrors."""
+    i, j = pairs.T
     return sparse.coo_array((np.concatenate([vals, vals]),
                              (np.concatenate([i, j]), np.concatenate([j, i]))),
                             shape=(n, n))
 
 
-def _indicator(models: LocalModels, stack: Array, eps: float,
-               threshold: float) -> sparse.coo_array:
-    """The indicator affinity of ``indicator_pairs`` over the centers."""
+def _indicator_pairs(models: LocalModels, stack: Array, eps: float,
+                     threshold: float) -> tuple[Array, Array]:
+    """The connected pairs of ``indicator_pairs`` over the centers, each
+    of weight 1."""
     pairs, keep = indicator_pairs(stack, models.degenerate, models.centers, eps, threshold,
                                   "spectral")
-    return _symmetric(len(models), pairs, keep.astype(float))
+    return _floored(pairs, keep.astype(float))
+
+
+def cov_indicator_pairs(models: LocalModels, eps: float, eta: float,
+                        r: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``cov_indicator_affinity``."""
+    check_scales(eps=eps, eta=eta, r=r)
+    return _indicator_pairs(models, models.covariance, eps, eta * r * r)
 
 
 def cov_indicator_affinity(models: LocalModels, eps: float, eta: float,
@@ -184,8 +201,13 @@ def cov_indicator_affinity(models: LocalModels, eps: float, eta: float,
     Sparse: only the connected pairs are stored.  Degenerate models are
     left unconnected.
     """
-    check_scales(eps=eps, eta=eta, r=r)
-    return _indicator(models, models.covariance, eps, eta * r * r)
+    return _symmetric(len(models), *cov_indicator_pairs(models, eps, eta, r))
+
+
+def proj_indicator_pairs(models: LocalModels, eps: float, eta: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``proj_indicator_affinity``."""
+    check_scales(eps=eps, eta=eta)
+    return _indicator_pairs(models, models.projection, eps, eta)
 
 
 def proj_indicator_affinity(models: LocalModels, eps: float,
@@ -196,8 +218,7 @@ def proj_indicator_affinity(models: LocalModels, eps: float,
     estimated dimension sit at spectral distance 1, so they disconnect
     whenever eta < 1.
     """
-    check_scales(eps=eps, eta=eta)
-    return _indicator(models, models.projection, eps, eta)
+    return _symmetric(len(models), *proj_indicator_pairs(models, eps, eta))
 
 
 def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
@@ -206,6 +227,16 @@ def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
     exp(-_CUTOFF^2)."""
     pairs = pairs_within(y, _CUTOFF * eps)
     return pairs, np.exp(-sq_dists(y, pairs[:, 0], y, pairs[:, 1]) / eps**2)
+
+
+def gaussian_product_pairs(models: LocalModels, eps: float,
+                           eta: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``gaussian_product_affinity``."""
+    check_scales(eps=eps, eta=eta)
+    pairs, w = _distance_factor(models.centers, eps)
+    with np.errstate(over="ignore"):
+        tangent = np.exp(-np.square(_projection_gaps(models, pairs) / eta))
+    return _floored(pairs, w * tangent)
 
 
 def gaussian_product_affinity(models: LocalModels, eps: float,
@@ -217,11 +248,13 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
     that floor are stored.  Gaps from ``_projection_gaps``; the exponent
     (gap/eta)^2 keeps the eta -> 0 limit (1 at gap 0, else 0), no 0/0.
     """
-    check_scales(eps=eps, eta=eta)
-    pairs, w = _distance_factor(models.centers, eps)
-    with np.errstate(over="ignore"):
-        tangent = np.exp(-np.square(_projection_gaps(models, pairs) / eta))
-    return _symmetric(len(models), pairs, w * tangent)
+    return _symmetric(len(models), *gaussian_product_pairs(models, eps, eta))
+
+
+def distance_gaussian_pairs(points: Array, eps: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``distance_gaussian_affinity``."""
+    check_scales(eps=eps)
+    return _floored(*_distance_factor(np.asarray(points, float), eps))
 
 
 def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
@@ -230,9 +263,8 @@ def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
     Sparse and symmetric, cut off at _CUTOFF * eps like the product
     affinity.
     """
-    check_scales(eps=eps)
     points = np.asarray(points, float)
-    return _symmetric(points.shape[0], *_distance_factor(points, eps))
+    return _symmetric(points.shape[0], *distance_gaussian_pairs(points, eps))
 
 
 def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
@@ -251,12 +283,8 @@ def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:
     return np.column_stack([codes // n, codes % n]), dist[:, ell]
 
 
-def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_array:
-    """Mutual ell-NN indicator times the product of principal-angle cosines
-    raised to alpha.  Requires equal estimated dimensions.
-
-    Sparse, symmetric: only the ell-NN pairs are weighted.
-    """
+def wang_pairs(models: LocalModels, ell: int, alpha: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``wang_affinity``."""
     check_scales(alpha=alpha)
     dims = np.unique(models.est_dim)
     if dims.size != 1 or dims[0] < 1:
@@ -268,19 +296,20 @@ def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_arr
     bases = np.linalg.eigh(models.projection)[1][:, :, -d:]
     # prod_s cos(theta_s) equals |det(U_i^T U_j)| for the top-d bases
     grams = np.einsum("pka,pkb->pab", bases[pairs[:, 0]], bases[pairs[:, 1]])
-    return _symmetric(len(models), pairs, np.abs(np.linalg.det(grams)) ** alpha)
+    return _floored(pairs, np.abs(np.linalg.det(grams)) ** alpha)
 
 
-def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array:
-    """Self-tuned Gaussian times a principal-angle penalty.
+def wang_affinity(models: LocalModels, ell: int, alpha: float) -> sparse.coo_array:
+    """Mutual ell-NN indicator times the product of principal-angle cosines
+    raised to alpha.  Requires equal estimated dimensions.
 
-    eps_i is the distance from point i to its ell-th nearest neighbor.
-    For coincident points the angle factor is 1 when the projections
-    agree and 0 otherwise (limit convention).  Sparse, symmetric: only
-    pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are weighted, the rest
-    are below exp(-_CUTOFF^2) ~ 7e-17 and left out.  Gaps and the eta -> 0
-    limit as in ``gaussian_product_affinity``.
+    Sparse, symmetric: only the ell-NN pairs are weighted.
     """
+    return _symmetric(len(models), *wang_pairs(models, ell, alpha))
+
+
+def gong_pairs(models: LocalModels, ell: int, eta: float) -> tuple[Array, Array]:
+    """The pairs and weights of ``gong_affinity``."""
     check_scales(eta=eta)
     y = models.centers
     _, eps_i = _knn_adjacency(y, ell)
@@ -298,7 +327,32 @@ def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array
         angle_term = np.exp(-np.square(np.arcsin(qd) / eta) / s)
     coincident = (s == 0)
     angle_term[coincident] = (qd[coincident] <= 1e-12).astype(float)
-    return _symmetric(len(models), pairs, np.exp(-s) * angle_term)
+    return _floored(pairs, np.exp(-s) * angle_term)
+
+
+def gong_affinity(models: LocalModels, ell: int, eta: float) -> sparse.coo_array:
+    """Self-tuned Gaussian times a principal-angle penalty.
+
+    eps_i is the distance from point i to its ell-th nearest neighbor.
+    For coincident points the angle factor is 1 when the projections
+    agree and 0 otherwise (limit convention).  Sparse, symmetric: only
+    pairs with s = d^2 / (eps_i eps_j) <= _CUTOFF^2 are weighted, the rest
+    are below exp(-_CUTOFF^2) ~ 7e-17 and left out.  Gaps and the eta -> 0
+    limit as in ``gaussian_product_affinity``.
+    """
+    return _symmetric(len(models), *gong_pairs(models, ell, eta))
+
+
+# the pair builder of each affinity kind, by the kind's name
+PAIR_BUILDERS = {"gauss": gaussian_product_pairs, "cov": cov_indicator_pairs,
+                 "proj": proj_indicator_pairs, "wang": wang_pairs, "gong": gong_pairs,
+                 "distance": distance_gaussian_pairs}
+
+
+def check_kind(kind: str) -> None:
+    """Raise InvalidInput unless ``kind`` names a pair builder."""
+    if kind not in PAIR_BUILDERS:
+        raise InvalidInput(f"unknown affinity kind {kind!r}")
 
 
 def auto_epsilon(centers: Array) -> float:

@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .affinity import NORMS
+from .affinity import NORMS, PAIR_BUILDERS
 from .datasets import DATASET_NAMES, DatasetSpec, generate, geometry
 from .errors import InvalidInput, MMClusterError
 from .evaluation import (
@@ -182,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=None, help="orientation scale")
         p.add_argument("--k", type=int, default=None, help="number of clusters")
         p.add_argument("--d", type=int, default=None, help="intrinsic dimension")
-        p.add_argument("--affinity", choices=("cov", "proj", "gauss", "wang", "gong"),
-                       default="gauss")
+        p.add_argument("--affinity", choices=tuple(PAIR_BUILDERS), default="gauss")
         p.add_argument("--norm", choices=NORMS, default="spectral")
         p.add_argument("--ell", type=int, default=10,
                        help="neighbor count for wang/gong affinities")

@@ -135,10 +135,12 @@ def _kmeans_pp_seeds(rows: Array, k: int, rng: np.random.Generator) -> Array:
 
 def _sq_dists(rows: Array, cents: Array) -> Array:
     """Squared distances (R, m, k) of the m ``rows`` to each of R sets of
-    k centroids ``cents`` (R, k, D).  Each is summed over the last axis of
-    an (R, m, k, D) array, as a single restart sums it over its (m, k, D)
-    array, so both add in the same order."""
-    return np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
+    k centroids ``cents`` (R, k, D).  The D squared coordinate differences
+    are added a column at a time, in the order in which NumPy sums a row of
+    them, so each equals the sum over the last axis of the (m, k, D) array
+    of a single restart, bit for bit, with no such array."""
+    return aff._sum_as_numpy([np.square(rows[None, :, None, a] - cents[:, None, :, a])
+                              for a in range(rows.shape[1])])
 
 
 def _centroids(cols: Array, groups: Array, counts: Array) -> Array:
@@ -226,23 +228,64 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
                         inertia=float(inertia[best]))
 
 
-def _njw(m: int, row: Array, col: Array, data: Array, k: int,
-         rng: np.random.Generator) -> Labeling:
-    """NJW spectral clustering, into k <= m clusters, of the graph on m
-    nodes with the positive symmetric entries ``data`` at (``row``,
-    ``col``), each position stored once, and no zero-degree node.
+def _argsort_distinct(key: Array) -> tuple[Array, Array]:
+    """``key`` (int64, distinct, nonnegative) in ascending order, and its
+    argsort.  Each key carries its own index in its low bits, so one plain
+    sort, which NumPy runs in SIMD, orders both: at about half the time of
+    ``np.argsort``, as long as the keys leave those bits free."""
+    bits = len(key).bit_length()
+    if int(key.max(initial=0)) >> (62 - bits):
+        order = np.argsort(key)
+        return key[order], order
+    packed = key << bits
+    packed |= np.arange(len(key))
+    packed.sort()
+    return packed >> bits, packed & ((1 << bits) - 1)
 
-    The entries are scaled by d^-1/2, one side at a time (a product
-    d_i d_j could underflow), into M.  The graph's c components give the
-    top eigenvalue 1 of M the unit eigenvectors U = [u_C ~ D^1/2 1_C].
+
+def _sorted_csr(m: int, own: tuple[Array, Array, Array],
+                mirrored: tuple[Array, Array, Array]) -> sparse.csr_array:
+    """The m x m CSR matrix of the entries (rows, cols, vals) of ``own``,
+    with j >= i, and of ``mirrored``, with j < i, at distinct positions.
+    Row r holds its mirrored entries, then its own, each half in column
+    order: the int32 arrays that ``sparse.csr_array`` makes of the COO of
+    both, with no COO conversion and no index sort.  Each half is ordered
+    by one sort of its row-major positions and written to its slots of the
+    rows in order."""
+    counts = [np.bincount(rows, minlength=m) for rows, _, _ in (mirrored, own)]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(counts[0] + counts[1], out=indptr[1:])
+    own_slot = np.repeat(np.tile([False, True], m), np.column_stack(counts).ravel())
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for (rows, cols, vals), slots in ((mirrored, ~own_slot), (own, own_slot)):
+        positions, order = _argsort_distinct(rows * m + cols)
+        indices[slots] = positions % m
+        data[slots] = vals[order]
+    return sparse.csr_array((data, indices, indptr), shape=(m, m))
+
+
+def _njw(m: int, pairs: Array, vals: Array, k: int, rng: np.random.Generator) -> Labeling:
+    """NJW spectral clustering, into k <= m clusters, of the graph on m
+    nodes with the positive weights ``vals`` at the (p, 2) ``pairs``
+    (i <= j), each position once; a pair off the diagonal stands for its
+    mirror (j, i) too.  No node may have zero degree.
+
+    Each node's degree adds its weights over the pairs in order, then over
+    the mirrors, as one pass over the pairs followed by their mirrors
+    does.  The entries are scaled by d^-1/2, one side at a time (a product
+    d_i d_j could underflow), into M: the pair's entry as v s_i s_j, its
+    mirror as v s_j s_i.  The graph's c components give the top eigenvalue
+    1 of M the unit eigenvectors U = [u_C ~ D^1/2 1_C].
     * c = k: the components are the clusters (exact NJW); no eigh, no k-means.
     * c < k < m on m >= ``_SPARSE_MIN`` nodes: ``eigsh`` takes the next
       k - c + 1 eigenpairs (and _LANCZOS_EXTRA more) as the top ones of
       x -> Mx + x - 2 U U^T x, which sends the u_C to 0, below every
-      other eigenvalue of M + I.  The embedding is [U, the top k - c
-      vectors].  The start vector is fixed, not drawn from ``rng``, so
-      k-means sees the same generator state on both paths.  ARPACK stops at
-      residuals of ``_EIGSH_TOL``: eigenvalues exact to about its square.
+      other eigenvalue of M + I.  M is assembled as a sorted CSR by
+      ``_sorted_csr``.  The embedding is [U, the top k - c vectors].  The
+      start vector is fixed, not drawn from ``rng``, so k-means sees the
+      same generator state on both paths.  ARPACK stops at residuals of
+      ``_EIGSH_TOL``: eigenvalues exact to about its square.
     * otherwise, or when ARPACK does not converge: NumPy's full ``eigh``
       of a dense M; the embedding is its top k eigenvectors.
     Then k-means++ runs on the normalized rows of the embedding.  The
@@ -253,19 +296,22 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
     descending order, the ``eigengap`` lambda_k - lambda_k+1 (None when
     k = m) and the ``kmeans_inertia``; the last three are None when c = k.
     """
-    # one orientation of each stored pair: the lower triangle, which eigh reads
-    lower = row > col
-    ids = connected_components(m, np.column_stack([row[lower], col[lower]]))
+    ids = connected_components(m, pairs)
     c = int(ids.max())
     info = {"n_components": c, **dict.fromkeys(("eigenvalues", "eigengap", "kmeans_inertia"))}
     if c == k:
         return Labeling(assignments=ids, K_found=c, info=info)
-    degrees = np.bincount(row, weights=data, minlength=m)
+    i, j = pairs.T
+    off = np.flatnonzero(i != j) if (i == j).any() else slice(None)  # the mirrored pairs
+    oi, oj, ov = i[off], j[off], vals[off]
+    degrees = np.bincount(i, weights=vals, minlength=m)
+    np.add.at(degrees, oj, ov)
     scale = 1.0 / np.sqrt(degrees)
-    data = data * scale[row] * scale[col]
+    upper = vals * scale[i] * scale[j]
+    mirror = ov * scale[oj] * scale[oi]
     rows = None
     if c < k < m and m >= _SPARSE_MIN:
-        mat = sparse.csr_array((data, (row, col)), shape=(m, m))
+        mat = _sorted_csr(m, (i, j, upper), (oj, oi, mirror))
         u = np.zeros((m, c))
         u[np.arange(m), ids - 1] = np.sqrt(degrees)
         u /= np.sqrt(np.bincount(ids - 1, weights=degrees, minlength=c))
@@ -284,7 +330,8 @@ def _njw(m: int, row: Array, col: Array, data: Array, k: int,
         # filled by NumPy, not scipy.sparse: the first sparse conversion
         # maps about 0.5 MB of native code, +20% peak on a run of small graphs
         dense = np.zeros((m, m))
-        dense[row, col] = data
+        dense[i, j] = upper
+        dense[oj, oi] = mirror
         vals, vecs = np.linalg.eigh(dense)
         rows, eigenvalues = vecs[:, :-k-1:-1], vals[:-k-2:-1].tolist()
     norms = np.sqrt((rows * rows).sum(axis=1))
@@ -302,9 +349,11 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     nonnegative affinity, dense or ``scipy.sparse``, whose diagonal holds
     self-loops.  A dense affinity is checked as one dense copy; a sparse
     one over its stored entries, repeated entries added up, with no dense
-    copy.  The caller's matrix is left as it was, and ``_njw``, which
-    documents the solver rule and ``info``, partitions its nonzero entries
-    in row-major order.
+    copy.  The caller's matrix is left as it was.  Once it passes the
+    symmetry check, only its upper triangle, diagonal included, is read:
+    ``_njw``, which documents the solver rule and ``info``, partitions its
+    nonzero entries in row-major order as pairs that stand for their
+    mirrors.
     """
     try:
         if sparse.issparse(w):  # its stored entries, repeated ones added up
@@ -329,30 +378,30 @@ def njw_partition(w, k: int, rng: np.random.Generator) -> Labeling:
     del gap
     if (w.sum(axis=1) <= 0).any():
         raise IsolatedNode("affinity has a zero-degree node")
-    row, col = w.nonzero()  # a sparse affinity's stored entries, in their order
-    return _njw(n, row, col, w.data if sparse.issparse(w) else w[row, col], k, rng)
+    upper = sparse.triu(w, format="coo")  # row-major nonzero entries with j >= i
+    return _njw(n, np.stack([upper.row, upper.col], axis=1, dtype=np.intp), upper.data, k, rng)
 
 
-def _partition_centers(w: sparse.coo_array, y: Array, k: int,
+def _partition_centers(pairs: Array, vals: Array, y: Array, k: int,
                        rng: np.random.Generator) -> tuple[Array, dict]:
-    """1-based labels of the n0 centers at ``y`` from their affinity
-    ``w``, and the graph and spectral diagnostics.
+    """1-based labels of the n0 centers at ``y`` from their affinity, given
+    as its upper-triangle ``pairs`` (i <= j; alg4's have i < j) and their
+    weights ``vals``, and the graph and spectral diagnostics.
 
-    The centers with at least one stored entry are linked; there must be
-    at least k of them, and ``_njw`` partitions their graph.  An isolated
-    center takes the label of its nearest linked center.
+    The centers in at least one pair are linked; there must be at least k
+    of them, and ``_njw`` partitions their graph.  An isolated center
+    takes the label of its nearest linked center.
     """
-    n0 = w.shape[0]
-    row, col, data = w.row, w.col, w.data
-    linked = np.bincount(row, minlength=n0) > 0
+    n0 = len(y)
+    linked = np.zeros(n0, dtype=bool)
+    linked[pairs] = True
     m = int(np.count_nonzero(linked))
     if m < k:
         raise TooFewCenters(f"{m} linked centers cannot form {k} clusters")
     if m < n0:
-        position = np.cumsum(linked) - 1
-        row, col = position[row], position[col]
-    part = _njw(m, row, col, data, k, rng)
-    info = {"n_edges": row.size // 2, "n_isolated": n0 - m, **part.info}
+        pairs = (np.cumsum(linked) - 1)[pairs]
+    part = _njw(m, pairs, vals, k, rng)
+    info = {"n_edges": len(pairs), "n_isolated": n0 - m, **part.info}
     if m == n0:
         return part.assignments, info
     out = np.empty(n0, dtype=int)
@@ -449,8 +498,7 @@ def algorithm4_local_pca_spectral(
 
     ``return_info=True`` returns ``(labeling, labeling.info)``.
     """
-    if affinity_kind not in ("gauss", "cov", "proj", "wang", "gong", "distance"):
-        raise InvalidInput(f"unknown affinity kind {affinity_kind!r}")
+    aff.check_kind(affinity_kind)
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if affinity_kind != "distance" and not (d is not None and 1 <= d <= cloud.dim):
@@ -482,19 +530,12 @@ def algorithm4_local_pca_spectral(
             eta_used = (float(eta) if eta is not None
                         else max(aff.auto_eta(models, eps_used), 1e-12))
 
-        if affinity_kind == "distance":
-            w = aff.distance_gaussian_affinity(y, eps_used)
-        elif affinity_kind == "gauss":
-            w = aff.gaussian_product_affinity(models, eps_used, eta_used)
-        elif affinity_kind == "cov":
-            w = aff.cov_indicator_affinity(models, eps_used, eta_used, r)
-        elif affinity_kind == "proj":
-            w = aff.proj_indicator_affinity(models, eps_used, eta_used)
-        elif affinity_kind == "wang":
-            w = aff.wang_affinity(models, ell=min(ell, n0 - 1), alpha=alpha)
-        else:
-            w = aff.gong_affinity(models, ell=min(ell, n0 - 1), eta=eta_used)
-        center_labels, graph = _partition_centers(w, y, k, rng)
+        ell_used = min(ell, n0 - 1)
+        args = {"distance": (y, eps_used), "gauss": (models, eps_used, eta_used),
+                "cov": (models, eps_used, eta_used, r), "proj": (models, eps_used, eta_used),
+                "wang": (models, ell_used, alpha), "gong": (models, ell_used, eta_used)}
+        pairs, vals = aff.PAIR_BUILDERS[affinity_kind](*args[affinity_kind])
+        center_labels, graph = _partition_centers(pairs, vals, y, k, rng)
 
     labels, k_found = renumber_first_occurrence(center_labels[nearest_site(cloud.coords, y)])
     info = {"eps": eps_used, "eta": eta_used, "n_centers": int(n0),

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import cluster as clu
-from .affinity import ScaleParams, check_norm, check_scales, lower_median
+from .affinity import ScaleParams, check_kind, check_norm, check_scales, lower_median
 from .cluster import Labeling
 from .datasets import DatasetSpec, generate, global_radius
 from .errors import InvalidInput, MMClusterError
@@ -81,6 +81,7 @@ class MethodConfig:
             raise InvalidInput(f"unknown method {self.method!r}")
         check_scales(r=self.r, eps=self.eps, eta=self.eta, alpha=self.alpha)
         check_norm(self.norm)
+        check_kind(self.affinity)
         for name, value in (("k", self.k), ("d", self.d), ("ell", self.ell)):
             if value is not None and value < 1:
                 raise InvalidInput(f"{name} must be >= 1")

@@ -758,3 +758,19 @@ class TestInvariances:
             w = dense(w)
             assert np.isfinite(w).all()
             np.testing.assert_allclose(w, w.T, atol=1e-15)
+
+    def test_pair_builders_keep_strict_upper_pairs_above_the_floor(self):
+        # the graph alg4 carries to the eigensolve, one builder per kind
+        rng = np.random.default_rng(7)
+        coords = rng.normal(size=(60, 2))
+        models = self._segment_models(coords, 2.0)
+        args = {"gauss": (models, 0.5, 0.5), "cov": (models, 0.5, 0.5, 0.8),
+                "proj": (models, 0.5, 0.5), "wang": (models, 3, 2.0), "gong": (models, 3, 0.5),
+                "distance": (models.centers, 0.5)}
+        assert args.keys() == aff.PAIR_BUILDERS.keys()
+        for kind, build in aff.PAIR_BUILDERS.items():
+            pairs, vals = build(*args[kind])
+            assert pairs.shape == (len(vals), 2) and len(vals) > 0
+            assert (pairs[:, 0] < pairs[:, 1]).all()
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            assert (vals >= aff._FLOOR).all()

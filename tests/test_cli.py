@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from conftest import ball_models
 from mmcluster import cli, cluster
-from mmcluster.affinity import ScaleParams, auto_epsilon, auto_eta, gaussian_product_affinity
+from mmcluster.affinity import (PAIR_BUILDERS, ScaleParams, auto_epsilon, auto_eta,
+                                gaussian_product_affinity)
 from mmcluster.neighborhoods import PointCloud, build_index, subsample_centers
 
 
@@ -353,6 +354,17 @@ def test_malformed_scale_exit_2(tmp_path, capsys, args):
 
 
 class TestAffinityVariants:
+    def test_affinity_choices_are_the_pair_builders(self, tmp_path, capsys):
+        for kind in PAIR_BUILDERS:
+            args = cli.build_parser().parse_args(["cluster", "in.csv", "--affinity", kind,
+                                                  "--out", "out.csv"])
+            assert args.affinity == kind
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["cluster", tmp_path / "in.csv", "--method", "alg4", "--r", 0.1, "--k", 2,
+                     "--d", 1, "--affinity", "bogus", "--out", tmp_path / "out.csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["wang", "gong"])
     def test_alg4_with_alternative_affinity(self, tmp_path, kind):
         data = tmp_path / "cross.csv"

@@ -307,6 +307,15 @@ class TestKMeans:
                 assert_kmeans_matches_reference(rows, k, case, reached)
         assert reached == {"coincident seeding", "empty-cluster repair"}
 
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_sq_dists_add_columns_as_numpy_sums_the_last_axis(self, dim):
+        # both regimes of NumPy's summation: in turn below 8, and pairwise
+        rng = np.random.default_rng(dim)
+        rows = rng.normal(size=(300, dim)) * rng.uniform(1e-4, 1e4, size=dim)
+        cents = rng.normal(size=(4, 3, dim)) * 100.0
+        want = np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
+        np.testing.assert_array_equal(cluster._sq_dists(rows, cents), want)
+
 
 class TestNJW:
     @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -558,11 +567,75 @@ def assert_same_spectrum(info, want):
     assert info["kmeans_inertia"] == pytest.approx(want["kmeans_inertia"], rel=1e-6, abs=1e-12)
 
 
+def upper_pairs(w):
+    """The upper-triangle pairs (i <= j) of a symmetric sparse affinity
+    and their weights, in row-major order: the graph as alg4 carries it,
+    where no pair lies on the diagonal."""
+    upper = sparse.triu(w, format="coo")
+    return np.stack([upper.row, upper.col], axis=1, dtype=np.intp), upper.data
+
+
 def partition(w, k, seed, y=None):
     """alg4's spectral step on the sparse affinity ``w`` of n centers at
     ``y`` (all at the origin by default)."""
     y = np.zeros((w.shape[0], 1)) if y is None else y
-    return cluster._partition_centers(w, y, k, np.random.default_rng(seed))
+    return cluster._partition_centers(*upper_pairs(w), y, k, np.random.default_rng(seed))
+
+
+def coo_csr(m, own, mirrored):
+    """``sparse.csr_array`` of the COO of both halves' (rows, cols, vals)."""
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(own, mirrored))
+    return sparse.csr_array((vals, (rows, cols)), shape=(m, m))
+
+
+class TestSortedCSR:
+    """The CSR matrix of the sparse solve, assembled from the pair list."""
+
+    @staticmethod
+    def assert_same_arrays(got, want):
+        assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_spheres_graph_with_an_isolated_center(self):
+        # alg4's product affinity on spheres, the pairs of center 5 dropped;
+        # the mirrors carry other values, as they do when they are scaled
+        cloud = generate(DatasetSpec("two_spheres", n_per_cluster=1000, tau=0.0, seed=1))
+        centers = subsample_centers(build_index(cloud.coords), 0.2, np.random.default_rng(0))
+        models = ball_models(cloud, centers, 0.2, d=2)
+        pairs, vals = aff.gaussian_product_pairs(models, auto_epsilon(models.centers), 0.5)
+        kept = (pairs != 5).all(axis=1)
+        i, j = pairs[kept].T
+        vals = vals[kept]
+        m = len(centers)
+        own, mirrored = (i, j, vals), (j, i, vals * 3.0)
+        got = cluster._sorted_csr(m, own, mirrored)
+        assert got.indptr[5] == got.indptr[6]
+        self.assert_same_arrays(got, coo_csr(m, own, mirrored))
+
+    def test_pairs_with_diagonal_entries(self):
+        # njw_partition's upper triangle holds the diagonal, which has no mirror
+        rng = np.random.default_rng(3)
+        m = 40
+        pairs = np.argwhere(np.triu(rng.random((m, m)) < 0.3))
+        pairs = pairs[rng.permutation(len(pairs))]
+        vals = rng.random(len(pairs))
+        off = pairs[:, 0] != pairs[:, 1]
+        assert not off.all()
+        i, j = pairs.T
+        own, mirrored = (i, j, vals), (j[off], i[off], -vals[off])
+        self.assert_same_arrays(cluster._sorted_csr(m, own, mirrored),
+                                coo_csr(m, own, mirrored))
+
+    @pytest.mark.parametrize("top", [10**6, 2**55])
+    def test_argsort_of_distinct_keys(self, top):
+        # keys that leave room for their indices take the packed sort; the
+        # others fall back to np.argsort
+        key = np.random.default_rng(4).choice(top, size=5000, replace=False)
+        got, order = cluster._argsort_distinct(key)
+        np.testing.assert_array_equal(order, np.argsort(key))
+        np.testing.assert_array_equal(got, np.sort(key))
 
 
 class TestCenterPartition:
@@ -1121,13 +1194,14 @@ class TestAlgorithm4:
         graphs = []
         real = cluster._partition_centers
         monkeypatch.setattr(cluster, "_partition_centers",
-                            lambda w, *args: graphs.append(w) or real(w, *args))
+                            lambda *args: graphs.append(args[:2]) or real(*args))
         for eta in (1e-100, 1e-170):
             algorithm4_local_pca_spectral(cloud, 0.1, 2, 1, np.random.default_rng(1),
                                           affinity_kind=kind, eta=eta)
-        small, tiny = graphs
-        assert small.nnz > 0
-        np.testing.assert_array_equal(tiny.toarray(), small.toarray())
+        (small_pairs, small), (tiny_pairs, tiny) = graphs
+        assert small.size > 0
+        np.testing.assert_array_equal(tiny_pairs, small_pairs)
+        np.testing.assert_array_equal(tiny, small)
 
     def test_baseline_cannot_resolve_crossing(self):
         # distance-only affinity merges the intersecting segments

@@ -236,3 +236,9 @@ class TestMethodConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(InvalidInput):
             MethodConfig(method="dbscan", r=0.1)
+
+    def test_unknown_affinity_kind(self):
+        # checked on construction, so run_trials cannot record a typo as
+        # a sweep of failed trials
+        with pytest.raises(InvalidInput, match="unknown affinity kind 'bogus'"):
+            MethodConfig(method="alg4", r=0.1, k=2, d=1, affinity="bogus")

@@ -38,6 +38,26 @@ for run in (algorithm2_cov_components, algorithm3_proj_components):
 """
 
 
+# alg4 (gauss) and the baseline on 2 x 1000 spheres at r = 0.2: about 300
+# centers in one component, so both reach the sparse eigensolve; the
+# eigsh calls so far, then the labels and repr(info)
+CENTER_GRAPH = """
+import numpy as np
+from mmcluster import cluster
+from mmcluster.datasets import DatasetSpec, generate
+
+calls = []
+solve = cluster.eigsh
+cluster.eigsh = lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
+cloud = generate(DatasetSpec("two_spheres", n_per_cluster=1000, tau=0.0, seed=0))
+for name, run in (("alg4", lambda rng: cluster.algorithm4_local_pca_spectral(cloud, 0.2, 2, 2, rng)),
+                  ("njw_baseline", lambda rng: cluster.njw_baseline(cloud, 0.2, 2, rng))):
+    lab = run(np.random.default_rng(0))
+    info = dict(lab.info, center_indices=lab.info["center_indices"].tolist())
+    print(name, len(calls), lab.assignments.tolist(), repr(info))
+"""
+
+
 def run_with_threads(script: str, threads: int) -> bytes:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
@@ -48,11 +68,22 @@ def run_with_threads(script: str, threads: int) -> bytes:
     return done.stdout
 
 
-@pytest.mark.parametrize("script", [COMPONENTS], ids=["components"])
-def test_independent_of_blas_threads(script):
+def removed_a_band(lines):
+    # alg2 removed a band in both norms, so its reassignment ran
+    band = {tuple(line.split()[:2]): int(line.split()[2]) for line in lines}
+    return (band[("algorithm2_cov_components", "spectral")] > 0
+            and band[("algorithm2_cov_components", "frobenius")] > 0)
+
+
+def solved_sparse(lines):
+    # each pipeline called eigsh once
+    return [line.split()[:2] for line in lines] == [["alg4", "1"], ["njw_baseline", "2"]]
+
+
+@pytest.mark.parametrize("script, reached", [(COMPONENTS, removed_a_band),
+                                             (CENTER_GRAPH, solved_sparse)],
+                         ids=["components", "center_graph"])
+def test_independent_of_blas_threads(script, reached):
     one = run_with_threads(script, 1)
     assert one == run_with_threads(script, 2)
-    band = {tuple(line.split()[:2]): int(line.split()[2]) for line in one.decode().splitlines()}
-    # alg2 removed a band in both norms, so its reassignment ran
-    assert band[("algorithm2_cov_components", "spectral")] > 0
-    assert band[("algorithm2_cov_components", "frobenius")] > 0
+    assert reached(one.decode().splitlines())
