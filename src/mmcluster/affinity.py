@@ -263,8 +263,7 @@ def distance_gaussian_affinity(points: Array, eps: float) -> sparse.coo_array:
     Sparse and symmetric, cut off at _CUTOFF * eps like the product
     affinity.
     """
-    points = np.asarray(points, float)
-    return _symmetric(points.shape[0], *distance_gaussian_pairs(points, eps))
+    return _symmetric(len(points), *distance_gaussian_pairs(points, eps))
 
 
 def _knn_adjacency(y: Array, ell: int) -> tuple[Array, Array]:

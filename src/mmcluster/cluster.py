@@ -231,18 +231,21 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
 
 
 def _argsort_distinct(key: Array) -> tuple[Array, Array]:
-    """``key`` (int64, distinct, nonnegative) in ascending order, and its
+    """``key`` (int64, distinct, nonnegative) sorted in place, and its
     argsort.  Each key carries its own index in its low bits, so one plain
     sort, which NumPy runs in SIMD, orders both: at about half the time of
     ``np.argsort``, as long as the keys leave those bits free."""
     bits = len(key).bit_length()
     if int(key.max(initial=0)) >> (62 - bits):
         order = np.argsort(key)
-        return key[order], order
-    packed = key << bits
-    packed |= np.arange(len(key))
-    packed.sort()
-    return packed >> bits, packed & ((1 << bits) - 1)
+        key[:] = key[order]
+        return key, order
+    key <<= bits
+    key |= np.arange(len(key))
+    key.sort()
+    order = key & ((1 << bits) - 1)
+    key >>= bits
+    return key, order
 
 
 def _sorted_csr(m: int, own: tuple[Array, Array, Array],
@@ -253,7 +256,8 @@ def _sorted_csr(m: int, own: tuple[Array, Array, Array],
     order: the int32 arrays that ``sparse.csr_array`` makes of the COO of
     both, with no COO conversion and no index sort.  Each half is ordered
     by one sort of its row-major positions and written to its slots of the
-    rows in order."""
+    rows in order, so the temporaries beside the CSR are those positions,
+    their order and one gather, a half's length each."""
     counts = [np.bincount(rows, minlength=m) for rows, _, _ in (mirrored, own)]
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(counts[0] + counts[1], out=indptr[1:])
@@ -261,8 +265,11 @@ def _sorted_csr(m: int, own: tuple[Array, Array, Array],
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
     for (rows, cols, vals), slots in ((mirrored, ~own_slot), (own, own_slot)):
-        positions, order = _argsort_distinct(rows * m + cols)
-        indices[slots] = positions % m
+        positions = rows * m
+        positions += cols
+        positions, order = _argsort_distinct(positions)
+        indices[slots] = np.remainder(positions, m, out=positions)
+        del positions
         data[slots] = vals[order]
     return sparse.csr_array((data, indices, indptr), shape=(m, m))
 

@@ -633,7 +633,7 @@ class TestSortedCSR:
         # keys that leave room for their indices take the packed sort; the
         # others fall back to np.argsort
         key = np.random.default_rng(4).choice(top, size=5000, replace=False)
-        got, order = cluster._argsort_distinct(key)
+        got, order = cluster._argsort_distinct(key.copy())
         np.testing.assert_array_equal(order, np.argsort(key))
         np.testing.assert_array_equal(got, np.sort(key))
 
