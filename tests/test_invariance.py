@@ -50,8 +50,9 @@ calls = []
 solve = cluster.eigsh
 cluster.eigsh = lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs)
 cloud = generate(DatasetSpec("two_spheres", n_per_cluster=1000, tau=0.0, seed=0))
-for name, run in (("alg4", lambda rng: cluster.algorithm4_local_pca_spectral(cloud, 0.2, 2, 2, rng)),
-                  ("njw_baseline", lambda rng: cluster.njw_baseline(cloud, 0.2, 2, rng))):
+runs = {"alg4": lambda rng: cluster.algorithm4_local_pca_spectral(cloud, 0.2, 2, 2, rng),
+        "njw_baseline": lambda rng: cluster.njw_baseline(cloud, 0.2, 2, rng)}
+for name, run in runs.items():
     lab = run(np.random.default_rng(0))
     info = dict(lab.info, center_indices=lab.info["center_indices"].tolist())
     print(name, len(calls), lab.assignments.tolist(), repr(info))
