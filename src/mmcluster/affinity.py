@@ -8,7 +8,10 @@ positive.  Each affinity kind has one pair builder, listed in
 strict-upper pairs (p, 2), i < j, and their weights (p,), keeping exactly
 the pairs of weight at least exp(-_CUTOFF^2) ~ 6.9e-17, with _CUTOFF =
 6.1: no diagonal (NJW's A_ii = 0) and nothing below that floor, so one
-rule holds for every kind.  alg4 and the baseline carry that pair list to
+rule holds for every kind.  The floor moves the kept pairs and weights to
+the front of the builder's own arrays, a ``pair_blocks`` block at a time,
+and the Gaussian builders fill their weights the same way, so no builder
+copies its pairs.  alg4 and the baseline carry that pair list to
 the eigensolve.  Each public ``*_affinity`` function returns the same
 graph as a symmetric ``scipy.sparse`` COO matrix, each pair stored with
 its mirror.
@@ -32,8 +35,8 @@ from scipy import sparse
 from . import linalg
 from .errors import DimensionMismatch, InvalidInput, NoPairsInRange, TooFewCenters
 from .local_pca import LocalModels
-from .neighborhoods import (WIDEN, build_index, nearest_other, pair_blocks, pairs_within,
-                            sq_dists)
+from .neighborhoods import (WIDEN, _sum_as_numpy, build_index, nearest_other, pair_blocks,
+                            pairs_within, sq_dists)
 
 Array = np.ndarray
 NORMS = ("spectral", "frobenius")  # the matrix norms of alg2's and alg3's edge test
@@ -72,17 +75,6 @@ class ScaleParams:
 
     def __post_init__(self):
         check_scales(r=self.r, eps=self.eps, eta=self.eta)
-
-
-def _sum_as_numpy(terms: list[Array]) -> Array:
-    """The sum of ``terms`` in the order in which NumPy sums a contiguous
-    row of len(terms) <= 128 numbers: in turn below 8, else in 8
-    interleaved partial sums joined as a tree, then the rest in turn."""
-    if len(terms) < 8:
-        return sum(terms[1:], terms[0])
-    tail = len(terms) - len(terms) % 8
-    p = [sum(terms[k + 8:tail:8], terms[k]) for k in range(8)]
-    return sum(terms[tail:], ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])))
 
 
 def pairwise_diff_norms(stack: Array, pairs: Array, norm: str) -> Array:
@@ -151,22 +143,26 @@ def indicator_pairs(stack: Array, dead: Array, coords: Array, eps: float,
     return pairs, keep
 
 
-def kept_front(pairs: Array, keep: Array) -> Array:
-    """The rows of ``pairs`` flagged in ``keep``, in order, moved to its
-    front a block at a time; returns that prefix, a view.  A block's kept
-    rows never reach past the block, so no unread row is overwritten."""
+def kept_front(keep, *arrays: Array) -> tuple[Array, ...]:
+    """The rows of ``arrays``, all of one length, that ``keep`` flags, in
+    order, moved to the front of each a block at a time; returns those
+    prefixes, views.  ``keep(rows)`` flags the rows of the block
+    ``rows``, so no mask need span all rows.  A block's kept rows never
+    reach past the block, so no unread row is overwritten."""
     end = 0
-    for rows in pair_blocks(len(pairs)):
-        kept = np.compress(keep[rows], pairs[rows], axis=0)
-        pairs[end:end + len(kept)] = kept
-        end += len(kept)
-    return pairs[:end]
+    for rows in pair_blocks(len(arrays[0])):
+        flags = keep(rows)
+        for array in arrays:
+            kept = np.compress(flags, array[rows], axis=0)
+            array[end:end + len(kept)] = kept
+        end += np.count_nonzero(flags)
+    return tuple(array[:end] for array in arrays)
 
 
 def _floored(pairs: Array, vals: Array) -> tuple[Array, Array]:
-    """The ``pairs`` and ``vals`` whose value is at least _FLOOR."""
-    kept = vals >= _FLOOR
-    return np.compress(kept, pairs, axis=0), np.compress(kept, vals)
+    """The ``pairs`` and ``vals`` whose value is at least _FLOOR, moved
+    to their fronts in place by ``kept_front``: no copy of either."""
+    return kept_front(lambda rows: vals[rows] >= _FLOOR, pairs, vals)
 
 
 def _symmetric(n: int, pairs: Array, vals: Array) -> sparse.coo_array:
@@ -223,20 +219,33 @@ def proj_indicator_affinity(models: LocalModels, eps: float,
 
 def _distance_factor(y: Array, eps: float) -> tuple[Array, Array]:
     """Center pairs (i < j) within _CUTOFF * eps and their factors
-    exp(-||y_i - y_j||^2 / eps^2); every pair left out is below
+    exp(-||y_i - y_j||^2 / eps^2), written into one weight array a
+    ``pair_blocks`` block at a time; every pair left out is below
     exp(-_CUTOFF^2)."""
     pairs = pairs_within(y, _CUTOFF * eps)
-    return pairs, np.exp(-sq_dists(y, pairs[:, 0], y, pairs[:, 1]) / eps**2)
+    w = np.empty(len(pairs))
+    for rows in pair_blocks(len(pairs)):
+        block = w[rows]
+        np.divide(sq_dists(y, pairs[rows, 0], y, pairs[rows, 1]), -eps**2, out=block)
+        np.exp(block, out=block)
+    return pairs, w
 
 
 def gaussian_product_pairs(models: LocalModels, eps: float,
                            eta: float) -> tuple[Array, Array]:
-    """The pairs and weights of ``gaussian_product_affinity``."""
+    """The pairs and weights of ``gaussian_product_affinity``: each
+    block of the distance factors is multiplied in place by its tangent
+    factors, then the floor compacts both arrays in place."""
     check_scales(eps=eps, eta=eta)
     pairs, w = _distance_factor(models.centers, eps)
-    with np.errstate(over="ignore"):
-        tangent = np.exp(-np.square(_projection_gaps(models, pairs) / eta))
-    return _floored(pairs, w * tangent)
+    for rows in pair_blocks(len(pairs)):
+        tangent = _projection_gaps(models, pairs[rows])
+        with np.errstate(over="ignore"):
+            tangent /= eta
+            np.square(tangent, out=tangent)
+        np.negative(tangent, out=tangent)
+        w[rows] *= np.exp(tangent, out=tangent)
+    return _floored(pairs, w)
 
 
 def gaussian_product_affinity(models: LocalModels, eps: float,
@@ -252,7 +261,8 @@ def gaussian_product_affinity(models: LocalModels, eps: float,
 
 
 def distance_gaussian_pairs(points: Array, eps: float) -> tuple[Array, Array]:
-    """The pairs and weights of ``distance_gaussian_affinity``."""
+    """The pairs and weights of ``distance_gaussian_affinity``: the
+    distance factors, compacted in place by the floor."""
     check_scales(eps=eps)
     return _floored(*_distance_factor(np.asarray(points, float), eps))
 

@@ -36,11 +36,13 @@ from .errors import (
 from .local_pca import batch_local_models
 from .neighborhoods import (
     PointCloud,
+    _sum_as_numpy,
     assign_to_closest_survivor,
     balls,
     build_index,
     connected_components,
     nearest_site,
+    pair_blocks,
     pairs_within,
     renumber_first_occurrence,
     subsample_centers,
@@ -136,13 +138,26 @@ def _kmeans_pp_seeds(rows: Array, k: int, rng: np.random.Generator) -> Array:
 
 
 def _sq_dists(rows: Array, cents: Array) -> Array:
-    """Squared distances (R, m, k) of the m ``rows`` to each of R sets of
-    k centroids ``cents`` (R, k, D).  The D squared coordinate differences
-    are added a column at a time, in the order in which NumPy sums a row of
+    """Squared distances (R, k, m) of the m ``rows`` to each of R sets of
+    k centroids ``cents`` (R, k, D), so the (R, m) distances to each
+    centroid are contiguous.  The D squared coordinate differences are
+    added a column at a time, in the order in which NumPy sums a row of
     them, so each equals the sum over the last axis of the (m, k, D) array
     of a single restart, bit for bit, with no such array."""
-    return aff._sum_as_numpy([np.square(rows[None, :, None, a] - cents[:, None, :, a])
-                              for a in range(rows.shape[1])])
+    return _sum_as_numpy([np.square(rows[None, None, :, a] - cents[:, :, None, a])
+                          for a in range(rows.shape[1])])
+
+
+def _nearest_centroids(dists: Array) -> tuple[Array, Array]:
+    """The index (R, m) of each row's nearest centroid in ``dists`` (R, k,
+    m) and its squared distance, taken over the k centroids one at a time:
+    a strict < keeps the lowest index on ties, as ``argmin`` does."""
+    nearest = np.zeros(dists.shape[::2], dtype=np.intp)
+    best = dists[:, 0].copy()
+    for c in range(1, dists.shape[1]):
+        nearest[dists[:, c] < best] = c
+        np.minimum(best, dists[:, c], out=best)
+    return nearest, best
 
 
 def _centroids(cols: Array, groups: Array, counts: Array) -> Array:
@@ -197,17 +212,15 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
     live = np.arange(_KMEANS_RESTARTS)
     for _ in range(_KMEANS_MAX_ITER):
         old = cents[live]
-        dists = _sq_dists(rows, old)
-        assign = dists.argmin(axis=2)
+        assign, dist_own = _nearest_centroids(_sq_dists(rows, old))
         groups = assign + np.arange(0, live.size * k, k)[:, None]
         counts = np.bincount(groups.ravel(), minlength=live.size * k).reshape(-1, k)
         for s in np.flatnonzero((counts == 0).any(axis=1)):
-            dist_own = dists[s, np.arange(m), assign[s]]
             for empty in np.flatnonzero(counts[s] == 0):
                 # only a row whose cluster keeps another may move, so the
                 # repair empties no cluster; m >= k leaves one to take from
                 cluster = groups[s] - s * k
-                far = int(np.where(counts[s, cluster] > 1, dist_own, -np.inf).argmax())
+                far = int(np.where(counts[s, cluster] > 1, dist_own[s], -np.inf).argmax())
                 counts[s, cluster[far]] -= 1
                 counts[s, empty] = 1
                 groups[s, far] = s * k + empty
@@ -219,9 +232,8 @@ def kmeans_pp(rows: Array, k: int, rng: np.random.Generator) -> KMeansResult:
         if not live.size:
             break
 
-    dists = _sq_dists(rows, cents)
-    assign = dists.argmin(axis=2)
-    inertia = dists.min(axis=2).sum(axis=1)
+    assign, dist_own = _nearest_centroids(_sq_dists(rows, cents))
+    inertia = dist_own.sum(axis=1)
     best = 0
     for s in range(1, _KMEANS_RESTARTS):
         if inertia[s] < inertia[best]:
@@ -248,30 +260,37 @@ def _argsort_distinct(key: Array) -> tuple[Array, Array]:
     return key, order
 
 
-def _sorted_csr(m: int, own: tuple[Array, Array, Array],
-                mirrored: tuple[Array, Array, Array]) -> sparse.csr_array:
-    """The m x m CSR matrix of the entries (rows, cols, vals) of ``own``,
-    with j >= i, and of ``mirrored``, with j < i, at distinct positions.
-    Row r holds its mirrored entries, then its own, each half in column
-    order: the int32 arrays that ``sparse.csr_array`` makes of the COO of
-    both, with no COO conversion and no index sort.  Each half is ordered
-    by one sort of its row-major positions and written to its slots of the
-    rows in order, so the temporaries beside the CSR are those positions,
-    their order and one gather, a half's length each."""
-    counts = [np.bincount(rows, minlength=m) for rows, _, _ in (mirrored, own)]
+def _sorted_csr(m: int, pairs: Array, vals: Array, scale: Array) -> sparse.csr_array:
+    """The m x m CSR matrix with the entry (v s_r) s_c at (r, c) = (i, j)
+    and at its mirror (j, i), for each of the (p, 2) ``pairs`` (i <= j,
+    each position once) with the weight v of ``vals``, where s =
+    ``scale``: the int32 arrays that ``sparse.csr_array`` makes of that
+    COO, each row in column order, with no COO conversion and no index
+    sort.  One sort of the pairs' row-major positions orders the upper
+    triangle; SciPy's transpose (a counting sort) orders the mirrors, and
+    its sum of two sorted matrices merges each row in column order.  Each
+    entry is then scaled by its row's s and then its column's, as the
+    upper entry v s_i s_j and its mirror v s_j s_i were."""
+    i, j = pairs.T
+    positions, order = _argsort_distinct(i * m + j)
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(counts[0] + counts[1], out=indptr[1:])
-    own_slot = np.repeat(np.tile([False, True], m), np.column_stack(counts).ravel())
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    for (rows, cols, vals), slots in ((mirrored, ~own_slot), (own, own_slot)):
-        positions = rows * m
-        positions += cols
-        positions, order = _argsort_distinct(positions)
-        indices[slots] = np.remainder(positions, m, out=positions)
-        del positions
-        data[slots] = vals[order]
-    return sparse.csr_array((data, indices, indptr), shape=(m, m))
+    np.cumsum(np.bincount(i, minlength=m), out=indptr[1:])
+    cols = np.remainder(positions, m, out=positions).astype(np.int32)
+    upper = sparse.csr_array((vals[order], cols, indptr), shape=(m, m))
+    del positions, order, cols
+    # a diagonal entry has no mirror
+    strict = sparse.triu(upper, k=1, format="csr") if (i == j).any() else upper
+    mat = upper + strict.T
+    del upper, strict
+    data, indptr = mat.data, mat.indptr
+    for block in pair_blocks(len(data)):
+        start, stop = block.indices(len(data))[:2]
+        # the rows first .. last hold the block's entries
+        first, last = np.searchsorted(indptr, [start, stop], side="right") - 1
+        counts = np.diff(np.clip(indptr[first:last + 2], start, stop))
+        data[block] *= np.repeat(scale[first:last + 1], counts)
+        data[block] *= np.take(scale, mat.indices[block])
+    return mat
 
 
 def _njw(m: int, pairs: Array, vals: Array, k: int, rng: np.random.Generator) -> Labeling:
@@ -282,9 +301,11 @@ def _njw(m: int, pairs: Array, vals: Array, k: int, rng: np.random.Generator) ->
 
     Each node's degree adds its weights over the pairs in order, then over
     the mirrors, as one pass over the pairs followed by their mirrors
-    does.  The entries are scaled by d^-1/2, one side at a time (a product
-    d_i d_j could underflow), into M: the pair's entry as v s_i s_j, its
-    mirror as v s_j s_i.  The graph's c components give the top eigenvalue
+    does.  The entries are scaled by s = d^-1/2, one side at a time (a
+    product d_i d_j could underflow), into M: each entry as (v s_r) s_c
+    in row r and column c, so the pair's entry as v s_i s_j and its mirror
+    as v s_j s_i; no scaled copy of the pairs' weights is kept.  The
+    graph's c components give the top eigenvalue
     1 of M the unit eigenvectors U = [u_C ~ D^1/2 1_C].
     * c = k: the components are the clusters (exact NJW); no eigh, no k-means.
     * c < k < m on m >= ``_SPARSE_MIN`` nodes: ``eigsh`` takes the next
@@ -312,15 +333,12 @@ def _njw(m: int, pairs: Array, vals: Array, k: int, rng: np.random.Generator) ->
         return Labeling(assignments=ids, K_found=c, info=info)
     i, j = pairs.T
     off = np.flatnonzero(i != j) if (i == j).any() else slice(None)  # the mirrored pairs
-    oi, oj, ov = i[off], j[off], vals[off]
     degrees = np.bincount(i, weights=vals, minlength=m)
-    np.add.at(degrees, oj, ov)
+    np.add.at(degrees, j[off], vals[off])
     scale = 1.0 / np.sqrt(degrees)
-    upper = vals * scale[i] * scale[j]
-    mirror = ov * scale[oj] * scale[oi]
     rows = None
     if c < k < m and m >= _SPARSE_MIN:
-        mat = _sorted_csr(m, (i, j, upper), (oj, oi, mirror))
+        mat = _sorted_csr(m, pairs, vals, scale)
         u = np.zeros((m, c))
         u[np.arange(m), ids - 1] = np.sqrt(degrees)
         u /= np.sqrt(np.bincount(ids - 1, weights=degrees, minlength=c))
@@ -339,8 +357,10 @@ def _njw(m: int, pairs: Array, vals: Array, k: int, rng: np.random.Generator) ->
         # filled by NumPy, not scipy.sparse: the first sparse conversion
         # maps about 0.5 MB of native code, +20% peak on a run of small graphs
         dense = np.zeros((m, m))
-        dense[i, j] = upper
-        dense[oj, oi] = mirror
+        dense[i, j] = vals
+        dense[j[off], i[off]] = vals[off]
+        dense *= scale[:, None]
+        dense *= scale
         vals, vecs = np.linalg.eigh(dense)
         rows, eigenvalues = vecs[:, :-k-1:-1], vals[:-k-2:-1].tolist()
     norms = np.sqrt((rows * rows).sum(axis=1))
@@ -431,7 +451,7 @@ def _components(cloud: PointCloud, params: aff.ScaleParams, stack: Array, dead: 
     pairs, keep = aff.indicator_pairs(stack, dead | band, cloud.coords, params.eps,
                                       threshold, norm)
     info = {"eps": params.eps, "eta": params.eta, "n_edges": int(np.count_nonzero(keep))}
-    ids = connected_components(cloud.n, aff.kept_front(pairs, keep))
+    ids = connected_components(cloud.n, aff.kept_front(keep.__getitem__, pairs)[0])
     k_found = int(ids.max())
     if band.any():
         survivors, removed = np.flatnonzero(~band), np.flatnonzero(band)

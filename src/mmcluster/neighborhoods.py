@@ -5,7 +5,9 @@ is a plain ``cKDTree`` from ``build_index``, an exact accelerator, never
 an approximation.  Every neighborhood is a closed ball: ``balls(tree, x,
 r)`` returns exactly the indices j with ||x - x_j|| <= r, and
 ``pairs_within(points, r)`` exactly the pairs at distance <= r.  Every
-exact distance is the root of a ``sq_dists``.  A tree distance is off by
+exact distance is the root of a ``sq_dists``, which sums the squared
+coordinate differences a column at a time, in the order in which NumPy
+sums a row of them.  A tree distance is off by
 far less than the relative widening ``WIDEN``, so ``nearest_site`` and
 ``nearest_other`` (whose largest distance is ``auto_epsilon``'s eps) keep
 the tree's nearest neighbor where the next lies beyond it widened twice;
@@ -76,10 +78,38 @@ def pair_blocks(m: int):
     return (slice(start, start + _PAIR_BLOCK) for start in range(0, m, _PAIR_BLOCK))
 
 
+def _sum_as_numpy(terms: list[Array]) -> Array:
+    """The sum of ``terms`` in the order in which NumPy sums a contiguous
+    row of len(terms) <= 128 numbers: in turn below 8, else in 8
+    interleaved partial sums joined as a tree, then the rest in turn."""
+    if len(terms) < 8:
+        return sum(terms[1:], terms[0])
+    tail = len(terms) - len(terms) % 8
+    p = [sum(terms[k + 8:tail:8], terms[k]) for k in range(8)]
+    return sum(terms[tail:], ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])))
+
+
 def sq_dists(a: Array, i: Array, b: Array, j: Array) -> Array:
-    """Exact squared distances ||a[i] - b[j]||^2, row by row."""
-    diff = np.take(a, i, axis=0) - np.take(b, j, axis=0)
-    return (diff * diff).sum(axis=1)
+    """Exact squared distances ||a[i] - b[j]||^2 over the index arrays i
+    and j, a ``pair_blocks`` block at a time: each block gathers one
+    coordinate column at a time and adds the D squared differences with
+    ``_sum_as_numpy``, so each distance is, bit for bit, the row sum of
+    the gathered (p, D) difference, with no such array.  Past D = 128,
+    where that order is not written out, the rows are gathered whole."""
+    if a.shape[1] > 128:
+        diff = np.take(a, i, axis=0) - np.take(b, j, axis=0)
+        return (diff * diff).sum(axis=1)
+    out = np.empty(len(i))
+    for rows in pair_blocks(len(i)):
+        ia, jb, terms = i[rows], j[rows], []
+        # indexing gathers from a strided column in place; np.take would
+        # first copy the column whole
+        for col_a, col_b in zip(a.T, b.T):
+            diff = col_a[ia]
+            diff -= col_b[jb]
+            terms.append(np.square(diff, out=diff))
+        out[rows] = _sum_as_numpy(terms)
+    return out
 
 
 def build_index(points: Array) -> cKDTree:
@@ -140,14 +170,15 @@ def connected_components(n_nodes: int, edges: Array) -> Array:
             i, j = edges[rows].T
             np.minimum.at(root, np.maximum(i, j), np.minimum(i, j))
         up = root[root]
-        while not np.array_equal(up, root):
+        while np.count_nonzero(up != root):
             root, up = up, up[up]
         crossing = []
         for rows in pair_blocks(len(edges)):
             ends = np.take(root, edges[rows])
             crossing.append(np.compress(ends[:, 0] != ends[:, 1], ends, axis=0))
         edges = np.concatenate(crossing)
-    return np.unique(root, return_inverse=True)[1] + 1
+    # a root is the smallest node of its tree: count the roots up to it
+    return np.cumsum(root == np.arange(n_nodes))[root]
 
 
 def renumber_first_occurrence(raw: Array) -> tuple[Array, int]:

@@ -314,7 +314,19 @@ class TestKMeans:
         rows = rng.normal(size=(300, dim)) * rng.uniform(1e-4, 1e4, size=dim)
         cents = rng.normal(size=(4, 3, dim)) * 100.0
         want = np.square(rows[None, :, None, :] - cents[:, None, :, :]).sum(axis=3)
-        np.testing.assert_array_equal(cluster._sq_dists(rows, cents), want)
+        np.testing.assert_array_equal(cluster._sq_dists(rows, cents), want.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_nearest_centroids_match_argmin_and_min(self, k):
+        # distances drawn from a few values, so many rows tie between
+        # centroids, and argmin's first index must win
+        rng = np.random.default_rng(k)
+        dists = rng.integers(0, 3, size=(4, k, 500)) * 0.25
+        dists[:, :, :50] = 1.5
+        nearest, best = cluster._nearest_centroids(dists)
+        assert nearest.dtype == np.intp
+        np.testing.assert_array_equal(nearest, dists.argmin(axis=1))
+        np.testing.assert_array_equal(best, dists.min(axis=1))
 
 
 class TestNJW:
@@ -582,10 +594,16 @@ def partition(w, k, seed, y=None):
     return cluster._partition_centers(*upper_pairs(w), y, k, np.random.default_rng(seed))
 
 
-def coo_csr(m, own, mirrored):
-    """``sparse.csr_array`` of the COO of both halves' (rows, cols, vals)."""
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(own, mirrored))
-    return sparse.csr_array((vals, (rows, cols)), shape=(m, m))
+def scaled_coo_csr(m, pairs, vals, scale):
+    """``sparse.csr_array`` of the COO of the pairs' entries v s_i s_j
+    and, off the diagonal, their mirrors' v s_j s_i, each product taken
+    left to right."""
+    i, j = pairs.T
+    off = i != j
+    rows, cols = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+    entries = np.concatenate([vals * scale[i] * scale[j],
+                              vals[off] * scale[j[off]] * scale[i[off]]])
+    return sparse.csr_array((entries, (rows, cols)), shape=(m, m))
 
 
 class TestSortedCSR:
@@ -598,21 +616,29 @@ class TestSortedCSR:
         np.testing.assert_array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
 
+    @staticmethod
+    def assert_mirrors_round_apart(pairs, vals, scale):
+        # v s_i s_j and v s_j s_i differ in the last bit for some pairs, so
+        # the comparison tells the two products apart
+        i, j = pairs.T
+        assert (vals * scale[i] * scale[j] != vals * scale[j] * scale[i]).any()
+
     def test_spheres_graph_with_an_isolated_center(self):
-        # alg4's product affinity on spheres, the pairs of center 5 dropped;
-        # the mirrors carry other values, as they do when they are scaled
+        # alg4's product affinity on spheres, the pairs of center 5 dropped,
+        # scaled by its degrees as _njw scales it
         cloud = generate(DatasetSpec("two_spheres", n_per_cluster=1000, tau=0.0, seed=1))
         centers = subsample_centers(build_index(cloud.coords), 0.2, np.random.default_rng(0))
         models = ball_models(cloud, centers, 0.2, d=2)
         pairs, vals = aff.gaussian_product_pairs(models, auto_epsilon(models.centers), 0.5)
         kept = (pairs != 5).all(axis=1)
-        i, j = pairs[kept].T
-        vals = vals[kept]
+        pairs, vals = pairs[kept], vals[kept]
         m = len(centers)
-        own, mirrored = (i, j, vals), (j, i, vals * 3.0)
-        got = cluster._sorted_csr(m, own, mirrored)
+        degrees = np.bincount(pairs.ravel(), np.repeat(vals, 2), minlength=m)
+        scale = 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0))
+        self.assert_mirrors_round_apart(pairs, vals, scale)
+        got = cluster._sorted_csr(m, pairs, vals, scale)
         assert got.indptr[5] == got.indptr[6]
-        self.assert_same_arrays(got, coo_csr(m, own, mirrored))
+        self.assert_same_arrays(got, scaled_coo_csr(m, pairs, vals, scale))
 
     def test_pairs_with_diagonal_entries(self):
         # njw_partition's upper triangle holds the diagonal, which has no mirror
@@ -621,12 +647,11 @@ class TestSortedCSR:
         pairs = np.argwhere(np.triu(rng.random((m, m)) < 0.3))
         pairs = pairs[rng.permutation(len(pairs))]
         vals = rng.random(len(pairs))
-        off = pairs[:, 0] != pairs[:, 1]
-        assert not off.all()
-        i, j = pairs.T
-        own, mirrored = (i, j, vals), (j[off], i[off], -vals[off])
-        self.assert_same_arrays(cluster._sorted_csr(m, own, mirrored),
-                                coo_csr(m, own, mirrored))
+        scale = rng.uniform(0.1, 10.0, size=m)
+        assert not (pairs[:, 0] != pairs[:, 1]).all()
+        self.assert_mirrors_round_apart(pairs, vals, scale)
+        self.assert_same_arrays(cluster._sorted_csr(m, pairs, vals, scale),
+                                scaled_coo_csr(m, pairs, vals, scale))
 
     @pytest.mark.parametrize("top", [10**6, 2**55])
     def test_argsort_of_distinct_keys(self, top):
@@ -1044,6 +1069,37 @@ class TestComponentsInPlace:
 
 
 class TestAlgorithm4:
+    def test_pair_block_size_changes_nothing(self, monkeypatch):
+        # alg4 (gauss) and the baseline on 2 x 1000 spheres: at least 256
+        # centers in one component, so both reach eigsh; every pass over
+        # the center pairs in blocks of 97, a short last one among them.
+        # Local PCA sums each ball's run a block at a time, so a ball split
+        # by a block edge rounds otherwise: it keeps its default block
+        cloud = generate(DatasetSpec("two_spheres", n_per_cluster=1000, tau=0.0, seed=0))
+        runs = (lambda rng: algorithm4_local_pca_spectral(cloud, 0.2, 2, 2, rng),
+                lambda rng: njw_baseline(cloud, 0.2, 2, rng))
+        default, fit = neighborhoods._PAIR_BLOCK, cluster.batch_local_models
+
+        def fit_at_default_block(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(neighborhoods, "_PAIR_BLOCK", default)
+                return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "batch_local_models", fit_at_default_block)
+
+        def outputs():
+            return [(lab.assignments.tolist(), repr(dict(lab.info, center_indices=None)),
+                     lab.info["center_indices"].tolist())
+                    for lab in (run(np.random.default_rng(0)) for run in runs)]
+
+        solves = []
+        real = cluster.eigsh
+        monkeypatch.setattr(cluster, "eigsh", lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        want = outputs()
+        assert len(solves) == 2 and want[0][2] and len(want[0][2]) >= 256
+        monkeypatch.setattr(neighborhoods, "_PAIR_BLOCK", 97)
+        assert outputs() == want
+
     def test_circle_single_cluster(self):
         t = np.linspace(0, 2 * math.pi, 500, endpoint=False)
         cloud = PointCloud(np.column_stack([np.cos(t), np.sin(t)]),

@@ -359,6 +359,31 @@ class TestAssignToClosestSurvivor:
                                        np.array([], dtype=int))
 
 
+class TestSqDists:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_blocks_of_columns_match_the_row_gather(self, dim, monkeypatch):
+        # blocks of 97 pairs, a short last one among them; both regimes of
+        # NumPy's summation of a row, in turn below 8 and pairwise from 8 on
+        monkeypatch.setattr(neighborhoods, "_PAIR_BLOCK", 97)
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(50, dim)) * rng.uniform(1e-4, 1e4, size=dim)
+        b = rng.normal(size=(30, dim)) * rng.uniform(1e-4, 1e4, size=dim)
+        i, j = rng.integers(0, 50, size=1000), rng.integers(0, 30, size=1000)
+        diff = np.take(a, i, axis=0) - np.take(b, j, axis=0)
+        want = (diff * diff).sum(axis=1)
+        assert neighborhoods.sq_dists(a, i, b, j).tobytes() == want.tobytes()
+        # strided index arrays, as the columns of a pair array
+        pairs = rng.integers(0, 50, size=(500, 2))
+        diff = np.take(a, pairs[:, 0], axis=0) - np.take(a, pairs[:, 1], axis=0)
+        got = neighborhoods.sq_dists(a, pairs[:, 0], a, pairs[:, 1])
+        assert got.tobytes() == (diff * diff).sum(axis=1).tobytes()
+
+    def test_empty_index_arrays(self):
+        none = np.zeros(0, dtype=np.intp)
+        got = neighborhoods.sq_dists(np.ones((4, 3)), none, np.ones((2, 3)), none)
+        assert got.shape == (0,) and got.dtype == float
+
+
 class TestNearestSite:
     @staticmethod
     def lattice_cases(rng):
